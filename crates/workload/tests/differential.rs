@@ -8,10 +8,11 @@
 //! every protocol kind, across seeds, in both calm and saturated
 //! networks, and under mobility.
 
-use rmm_mac::ProtocolKind;
+use rmm_fleet::Fnv1a;
+use rmm_mac::{ProtocolKind, SentRecord};
 use rmm_sim::{FaultPlan, GilbertElliott, NodeId, Trace, TraceEvent};
 use rmm_workload::{
-    collect_metrics, run_mobile, run_mobile_naive, run_one, run_one_profiled,
+    collect_metrics, run_mobile, run_mobile_naive, run_one, run_one_forensic, run_one_profiled,
     run_one_profiled_traced, run_one_traced, run_one_traced_naive, ChurnPlan, MobilityConfig,
     PhaseTimings, RunResult, Scenario,
 };
@@ -331,4 +332,165 @@ fn fast_stepping_is_bit_exact_under_mobility() {
             "mobile seed {seed}: RunResult diverged"
         );
     }
+}
+
+/// One golden cell on the fast path: the result, the trace and every
+/// sender's records. The mobile runner records neither trace nor
+/// records, so mobility cells pin the result alone.
+fn golden_cell(
+    scenario: &Scenario,
+    mobility: Option<MobilityConfig>,
+    protocol: ProtocolKind,
+    seed: u64,
+) -> (RunResult, Option<Trace>, Vec<SentRecord>) {
+    match mobility {
+        None => {
+            let (result, trace, records) = run_one_forensic(scenario, protocol, seed, true);
+            (result, Some(trace), records)
+        }
+        Some(m) => (run_mobile(scenario, protocol, m, seed), None, Vec::new()),
+    }
+}
+
+/// FNV digest of a result's JSON with the provenance manifest left out:
+/// the manifest embeds the scenario, whose shape may grow.
+fn result_digest(result: &RunResult) -> u64 {
+    let mut h = Fnv1a::new();
+    if let serde_json::Value::Object(map) = serde_json::to_value(result) {
+        for (key, value) in map.iter().filter(|(k, _)| k.as_str() != "manifest") {
+            h.write_str(key);
+            h.write_str(&serde_json::to_string(value).expect("value serializes"));
+        }
+    }
+    h.finish()
+}
+
+fn json_digest<T: serde::Serialize>(items: &[T]) -> u64 {
+    let mut h = Fnv1a::new();
+    for item in items {
+        h.write_str(&serde_json::to_string(item).expect("item serializes"));
+    }
+    h.finish()
+}
+
+/// The four golden scenarios: plain, beacon-position noise, the fault
+/// machinery together (faults, burst channel, churn, watchdog), and
+/// random-waypoint mobility.
+fn golden_scenarios() -> Vec<(&'static str, Scenario, Option<MobilityConfig>)> {
+    let plain = Scenario {
+        n_nodes: 25,
+        sim_slots: 1_500,
+        n_runs: 1,
+        msg_rate: 2e-3,
+        ..Scenario::default()
+    };
+    let faulted = Scenario {
+        timing: rmm_mac::MacTiming {
+            timeout: 400,
+            dest_retry_limit: 3,
+            ..Default::default()
+        },
+        ..plain.clone()
+    }
+    .with_faults(
+        FaultPlan::new()
+            .crash(NodeId(3), 300)
+            .deaf(NodeId(5), 200, 900)
+            .mute(NodeId(7), 400, 1_100)
+            .reboot(NodeId(9), 500, 800),
+    )
+    .with_burst(GilbertElliott::new(0.05, 0.25))
+    .with_churn(
+        ChurnPlan::new()
+            .leave(NodeId(12), 400)
+            .join(NodeId(12), 1_000),
+    )
+    .with_stall_window(300);
+    let mobility = MobilityConfig {
+        speed_min: 0.0,
+        speed_max: 2e-4,
+        update_period: 50,
+        beacon_period: 200,
+    };
+    // LAMM reads positions only through its cover sets, which need a
+    // denser network than `plain` to differ from BMMM's.
+    let dense = Scenario {
+        n_nodes: 60,
+        ..plain.clone()
+    };
+    vec![
+        ("plain", plain, None),
+        ("noise", dense.clone().with_position_noise(0.05), None),
+        ("faults", faulted, None),
+        ("mobility", dense, Some(mobility)),
+    ]
+}
+
+/// Digests of every protocol on the four golden scenarios, pinned
+/// before the runner's entry points were folded into one: `(scenario,
+/// protocol, result, trace, records)`.
+#[rustfmt::skip]
+const GOLDEN: &[(&str, &str, u64, u64, u64)] = &[
+    ("plain", "802.11", 0xf61b2b8494acf1d3, 0x1187a3bfbedd0b5f, 0xe8e148b1422629c2),
+    ("plain", "TG-RTS", 0xcd7ec4e8568162bc, 0xf997e5723d8e3c69, 0x2f2a6cca7d732acc),
+    ("plain", "BSMA", 0x92b95bd49013b2da, 0x43cf42c2917339b4, 0xd7787b5e51e250f9),
+    ("plain", "BMW", 0x1fe588f5682e738e, 0x5310559378de6194, 0xfe69852e714eb507),
+    ("plain", "BMMM", 0xa4f9e1ee3bb81edf, 0xe02456897dae6054, 0x2d5ed532ddbf32a6),
+    ("plain", "LAMM", 0xa4f9e1ee3bb81edf, 0xea74cbc878adebb1, 0x2d5ed532ddbf32a6),
+    ("plain", "Leader", 0x35264edf5db8a62a, 0x230c6c7a74f4d3f1, 0xa551a0e6865dc8c2),
+    ("plain", "BMMM-U", 0x127c54dc5cf52910, 0x43b787f2b63aa866, 0xada8392674082695),
+    ("noise", "802.11", 0x8e236b80556779d5, 0x3833b5cddd64fd5e, 0xf281397ec72b075c),
+    ("noise", "TG-RTS", 0x42ea1da06841c436, 0xa1aaa6f099190cb5, 0xdc80eb82e7538c95),
+    ("noise", "BSMA", 0x1f96225a4bde6da4, 0xcd1c1c51cb949614, 0x0d62784c08918812),
+    ("noise", "BMW", 0x23313568dcc50eac, 0x54fab3c10b03ac10, 0x4e68a06e5770efe6),
+    ("noise", "BMMM", 0x64596d76a67b37a0, 0xb037eb6210125090, 0xe8d7b44d8c97d160),
+    ("noise", "LAMM", 0xe6e19214a1ae2169, 0xecbbffcf1dfb0f3c, 0x50957e291672bc03),
+    ("noise", "Leader", 0xad9112da8280cbbb, 0x02c87ee5debe0a5d, 0xd4bf37c6ead8a4f0),
+    ("noise", "BMMM-U", 0xb5c8b1d7f529a3e5, 0xd54947a7bedfa389, 0x8e715c14bb508617),
+    ("faults", "802.11", 0x8dce4aec0d005a18, 0xcee9169ef2eb775a, 0x1447565ec4ef2ca3),
+    ("faults", "TG-RTS", 0x8c1e24178bdc7b31, 0x262b3dc85af8156a, 0x6fe5d580d1b42a8f),
+    ("faults", "BSMA", 0x578c3e316d09c029, 0x8a6dd130878b4da2, 0xe52d9ec6b826d9e9),
+    ("faults", "BMW", 0xfaefba80c2cdad8b, 0xe3df758a3fa23087, 0xcb68f5827124c9dd),
+    ("faults", "BMMM", 0x77a8a95aa6567038, 0x3c28ffcc19498d09, 0x0257c5a3b4db4e34),
+    ("faults", "LAMM", 0x77a8a95aa6567038, 0x6c771029b86281a3, 0x0257c5a3b4db4e34),
+    ("faults", "Leader", 0xb0cb6d56b2f75847, 0x9b43d783045ec02f, 0x77909cfa0687daa9),
+    ("faults", "BMMM-U", 0xc9f42dc352ee2f37, 0x200ed0783bab6721, 0xeea18323914e0b4f),
+    ("mobility", "802.11", 0x6ac27986af7ffc05, 0x0000000000000000, 0xcbf29ce484222325),
+    ("mobility", "TG-RTS", 0x7f31de6af52b8453, 0x0000000000000000, 0xcbf29ce484222325),
+    ("mobility", "BSMA", 0x3bb02c7b504714f2, 0x0000000000000000, 0xcbf29ce484222325),
+    ("mobility", "BMW", 0xfc97a1237984bce8, 0x0000000000000000, 0xcbf29ce484222325),
+    ("mobility", "BMMM", 0x0abafdbc07954f8d, 0x0000000000000000, 0xcbf29ce484222325),
+    ("mobility", "LAMM", 0x1bdaa96e784b4aa7, 0x0000000000000000, 0xcbf29ce484222325),
+    ("mobility", "Leader", 0xc7fbd582377de9b8, 0x0000000000000000, 0xcbf29ce484222325),
+    ("mobility", "BMMM-U", 0x68962d6fc2daac08, 0x0000000000000000, 0xcbf29ce484222325),
+];
+
+/// Pins the runner's output for every protocol on the golden scenarios,
+/// so restructuring the runner can be checked against the code it
+/// replaced. On a mismatch the test prints the full table it computed.
+#[test]
+fn runner_output_matches_golden_digests() {
+    let mut got = Vec::new();
+    for (label, scenario, mobility) in golden_scenarios() {
+        for protocol in ALL_PROTOCOLS {
+            let (result, trace, records) = golden_cell(&scenario, mobility, protocol, 7);
+            let trace_digest = trace.map_or(0, |t| json_digest(t.events()));
+            got.push((
+                label,
+                protocol.name(),
+                result_digest(&result),
+                trace_digest,
+                json_digest(&records),
+            ));
+        }
+    }
+    let table: String = got
+        .iter()
+        .map(|(l, p, r, t, s)| format!("    ({l:?}, {p:?}, {r:#018x}, {t:#018x}, {s:#018x}),\n"))
+        .collect();
+    assert_eq!(
+        got.as_slice(),
+        GOLDEN,
+        "golden digests differ; computed:\n{table}"
+    );
 }
