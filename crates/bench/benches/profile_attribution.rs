@@ -14,7 +14,7 @@
 //! `results/BENCH_profile.json` at the workspace root).
 
 use rmm::mac::ProtocolKind;
-use rmm::workload::{run_one, run_one_profiled, Scenario};
+use rmm::workload::{run, run_one, RunOpts, Scenario};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -114,8 +114,13 @@ fn main() {
             plain_ms.push(start.elapsed().as_secs_f64() * 1e3);
 
             let start = Instant::now();
-            let (profiled, report) = run_one_profiled(scenario, protocol, seed);
+            let opts = RunOpts {
+                profile: true,
+                ..RunOpts::default()
+            };
+            let run = run(scenario, protocol, seed, opts);
             profiled_ms.push(start.elapsed().as_secs_f64() * 1e3);
+            let (profiled, report) = (run.result, run.profile.expect("profiling was enabled"));
 
             outcomes_match &= plain.airtime == profiled.airtime
                 && plain.collisions == profiled.collisions

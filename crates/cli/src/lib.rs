@@ -22,12 +22,11 @@
 
 use rmm::fleet::{run_sweep, Fnv1a, JobId, SweepConfig};
 use rmm::mac::ProtocolKind;
-use rmm::sim::{FaultPlan, GilbertElliott};
+use rmm::sim::{FaultPlan, GilbertElliott, Trace};
 use rmm::stats::{render_profile, render_registry, Summary, Table};
 use rmm::workload::{
-    collect_dwell, collect_metrics, mean_group_metrics, run_chaos, run_many_jobs, run_one,
-    run_one_profiled_traced, run_one_traced, ChaosConfig, ChaosOutcome, ChaosRepro, ChurnPlan,
-    RunResult, Scenario,
+    collect_dwell, collect_metrics, mean_group_metrics, run, run_chaos, run_many_jobs, run_one,
+    ChaosConfig, ChaosOutcome, ChaosRepro, ChurnPlan, RunOpts, RunResult, Scenario,
 };
 use std::time::Duration;
 
@@ -409,6 +408,9 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                 .churn
                 .validate(scenario.n_nodes)
                 .map_err(|e| CliError::BadValue(format!("--churn: {e}")))?;
+            if let Some(Err(e)) = scenario.mobility.map(|m| m.validate()) {
+                return Err(CliError::BadValue(format!("--config mobility: {e}")));
+            }
             match sub.as_str() {
                 "run" => Ok(Command::Run {
                     protocol: protocol.ok_or(CliError::MissingProtocol)?,
@@ -601,6 +603,9 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                 .churn
                 .validate(scenario.n_nodes)
                 .map_err(|e| CliError::BadValue(format!("--config churn: {e}")))?;
+            if let Some(Err(e)) = scenario.mobility.map(|m| m.validate()) {
+                return Err(CliError::BadValue(format!("--config mobility: {e}")));
+            }
             let action = match action {
                 "run" => SubmitAction::Run {
                     protocol: protocol.ok_or(CliError::MissingProtocol)?,
@@ -847,9 +852,19 @@ pub struct TraceExport {
     pub summary: String,
 }
 
+/// One traced fast-path run.
+fn run_traced(scenario: &Scenario, protocol: ProtocolKind, seed: u64) -> (RunResult, Trace) {
+    let opts = RunOpts {
+        trace: true,
+        ..RunOpts::default()
+    };
+    let run = run(scenario, protocol, seed, opts);
+    (run.result, run.trace.expect("tracing was enabled"))
+}
+
 /// Executes a single traced run and renders its export artifacts.
 pub fn export_trace(protocol: ProtocolKind, scenario: &Scenario, seed: u64) -> TraceExport {
-    let (result, trace) = run_one_traced(scenario, protocol, seed);
+    let (result, trace) = run_traced(scenario, protocol, seed);
     let metrics = collect_metrics(trace.events(), &result.messages);
     let mut doc = serde_json::Map::new();
     doc.insert("manifest", serde_json::to_value(&result.manifest));
@@ -892,7 +907,14 @@ pub struct ProfExport {
 /// times derived from the event log; trace-recording cost is therefore
 /// included in the phase attribution (dominated by the Resolve phase).
 pub fn export_profile(protocol: ProtocolKind, scenario: &Scenario, seed: u64) -> ProfExport {
-    let (result, report, trace) = run_one_profiled_traced(scenario, protocol, seed);
+    let opts = RunOpts {
+        trace: true,
+        profile: true,
+        ..RunOpts::default()
+    };
+    let run = run(scenario, protocol, seed, opts);
+    let (result, report) = (run.result, run.profile.expect("profiling was enabled"));
+    let trace = run.trace.expect("tracing was enabled");
     let dwell = collect_dwell(trace.events(), scenario.n_nodes);
     let mut registry = collect_metrics(trace.events(), &result.messages);
     registry.merge(&dwell.to_registry());
@@ -990,7 +1012,7 @@ pub fn compare_metrics_json(scenario: &Scenario, seed: u64) -> String {
     let rows: Vec<serde_json::Value> = ProtocolKind::ALL
         .into_iter()
         .map(|p| {
-            let (result, trace) = run_one_traced(scenario, p, seed);
+            let (result, trace) = run_traced(scenario, p, seed);
             let metrics = collect_metrics(trace.events(), &result.messages);
             serde_json::json!({
                 "protocol": p.name(),

@@ -16,7 +16,7 @@ use rmm_mac::ProtocolKind;
 use rmm_route::{DiscoveryConfig, RouteSim};
 use rmm_sim::FaultPlan;
 use rmm_stats::{Summary, Table};
-use rmm_workload::{run_mobile, MobilityConfig, Scenario};
+use rmm_workload::{MobilityConfig, Scenario};
 use serde::{Deserialize, Serialize};
 
 fn base(options: &Options) -> Scenario {
@@ -304,52 +304,33 @@ pub fn route(options: &Options) {
 pub fn mobility(options: &Options) {
     let mut table = Table::new(["max speed", "BSMA", "BMW", "BMMM", "LAMM"]);
     let speeds = [0.0, 1e-5, 5e-5, 2e-4];
-    let scenario = base(options);
-    let mut cells: Vec<(MobilityConfig, ProtocolKind)> = Vec::new();
-    let mut jobs: Vec<(JobId, usize)> = Vec::new();
-    let mut hash_parts: Vec<String> = Vec::new();
+    let mut cells: Vec<Cell> = Vec::new();
     for &vmax in &speeds {
-        let config = MobilityConfig {
+        let scenario = base(options).with_mobility(MobilityConfig {
             speed_min: 0.0,
             speed_max: vmax,
             update_period: 100,
             beacon_period: 500,
-        };
+        });
         for &p in &PAPER_PROTOCOLS {
-            let ci = cells.len();
-            for seed in 0..scenario.n_runs as u64 {
-                jobs.push((
-                    JobId::new(
-                        "ext_mobility",
-                        format!("vmax={vmax}/{}", p.name()),
-                        seed + 90_000,
-                    ),
-                    ci,
-                ));
-            }
-            hash_parts.push(format!(
-                "{}|{vmax}|{}",
-                p.name(),
-                serde_json::to_string(&scenario).expect("scenario serializes"),
-            ));
-            cells.push((config, p));
+            cells.push(Cell {
+                point: format!("vmax={vmax}/{}", p.name()),
+                scenario: scenario.clone(),
+                protocol: p,
+                seed_base: 90_000,
+            });
         }
     }
-    let rates: Vec<f64> = run_grid(options, "ext_mobility", &hash_parts, &jobs, |id, &ci| {
-        let (config, p) = cells[ci];
-        run_mobile(&scenario, p, config, id.seed)
-            .group_metrics
-            .delivery_rate
-    });
-    let mut grouped: Vec<Vec<f64>> = cells.iter().map(|_| Vec::new()).collect();
-    for ((_, ci), rate) in jobs.iter().zip(rates) {
-        grouped[*ci].push(rate);
-    }
-    let mut per_cell = grouped.into_iter();
+    let mut per_cell = run_cells(options, "ext_mobility", &cells).into_iter();
     for &vmax in &speeds {
         let mut row = vec![format!("{vmax:.0e}")];
         for _ in PAPER_PROTOCOLS {
-            let rates = per_cell.next().expect("cell per protocol");
+            let rates: Vec<f64> = per_cell
+                .next()
+                .expect("cell per protocol")
+                .iter()
+                .map(|r| r.group_metrics.delivery_rate)
+                .collect();
             row.push(f3(Summary::of(&rates).mean));
         }
         table.row(row);

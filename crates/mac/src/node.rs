@@ -792,9 +792,9 @@ impl Station for MacNode {
     }
 
     /// A busy medium can only freeze a contention countdown — it never
-    /// changes any other per-slot decision in [`MacNode::slot`] — so the
+    /// changes any other per-slot decision in `MacNode::slot` — so the
     /// engine may skip busy slots entirely and let
-    /// [`MacNode::catch_up`] replay the freeze from the engine's
+    /// `MacNode::catch_up` replay the freeze from the engine's
     /// watermark.
     fn busy_freezes(&self) -> bool {
         self.active.as_ref().is_some_and(|a| a.contending)

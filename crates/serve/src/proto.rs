@@ -22,9 +22,7 @@ use rmm_mac::ProtocolKind;
 use rmm_sim::TraceEvent;
 use rmm_stats::ProfileReport;
 use rmm_workload::observe::PhaseTimings;
-use rmm_workload::{
-    run_one, run_one_profiled, run_one_profiled_traced, run_one_traced, RunResult, Scenario,
-};
+use rmm_workload::{run, RunOpts, RunResult, Scenario};
 use serde::{Deserialize, Serialize};
 
 /// Wire-protocol version, folded into the cache header so a protocol
@@ -147,8 +145,8 @@ pub fn canonical_result(mut result: RunResult) -> RunResult {
     result
 }
 
-/// Executes one cell with exactly the runner entry point the request's
-/// flags select, canonicalizing the result.
+/// Executes one cell with the request's trace and profile flags,
+/// canonicalizing the result.
 pub fn compute_cell(
     scenario: &Scenario,
     protocol: ProtocolKind,
@@ -156,36 +154,16 @@ pub fn compute_cell(
     trace: bool,
     profile: bool,
 ) -> ServeCell {
-    match (trace, profile) {
-        (false, false) => ServeCell {
-            result: canonical_result(run_one(scenario, protocol, seed)),
-            trace: None,
-            profile: None,
-        },
-        (true, false) => {
-            let (result, trace) = run_one_traced(scenario, protocol, seed);
-            ServeCell {
-                result: canonical_result(result),
-                trace: Some(trace.events().to_vec()),
-                profile: None,
-            }
-        }
-        (false, true) => {
-            let (result, report) = run_one_profiled(scenario, protocol, seed);
-            ServeCell {
-                result: canonical_result(result),
-                trace: None,
-                profile: Some(report),
-            }
-        }
-        (true, true) => {
-            let (result, report, trace) = run_one_profiled_traced(scenario, protocol, seed);
-            ServeCell {
-                result: canonical_result(result),
-                trace: Some(trace.events().to_vec()),
-                profile: Some(report),
-            }
-        }
+    let opts = RunOpts {
+        trace,
+        profile,
+        ..RunOpts::default()
+    };
+    let run = run(scenario, protocol, seed, opts);
+    ServeCell {
+        result: canonical_result(run.result),
+        trace: run.trace.map(|t| t.events().to_vec()),
+        profile: run.profile,
     }
 }
 
@@ -269,10 +247,15 @@ mod tests {
     }
 
     #[test]
-    fn traced_cell_matches_run_one_traced() {
+    fn traced_cell_matches_a_local_traced_run() {
         let s = tiny();
         let cell = compute_cell(&s, ProtocolKind::Lamm, 9, true, false);
-        let (result, trace) = rmm_workload::run_one_traced(&s, ProtocolKind::Lamm, 9);
+        let opts = RunOpts {
+            trace: true,
+            ..RunOpts::default()
+        };
+        let run = run(&s, ProtocolKind::Lamm, 9, opts);
+        let (result, trace) = (run.result, run.trace.unwrap());
         assert_eq!(cell.trace.as_deref().unwrap(), trace.events());
         assert_eq!(
             serde_json::to_string(&cell.result).unwrap(),

@@ -353,6 +353,10 @@ fn serve_run(
         send_error(format!("invalid churn plan: {e}"));
         return None;
     }
+    if let Some(Err(e)) = req.scenario.mobility.map(|m| m.validate()) {
+        send_error(format!("invalid mobility: {e}"));
+        return None;
+    }
     let key = cache_key(protocol, &req.scenario, req.seed, req.trace, req.profile);
     if let Some(cell) = shared.cache.get(&key) {
         for line in run_response_lines(id, &cell, true) {

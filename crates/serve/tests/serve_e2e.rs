@@ -7,7 +7,7 @@ use rmm_serve::{
     fetch_metrics, local_lines, parse_metric, request_shutdown, soak, submit_one, Request,
     RunRequest, ServeConfig, Server, SoakSpec,
 };
-use rmm_workload::Scenario;
+use rmm_workload::{MobilityConfig, Scenario};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
@@ -171,6 +171,78 @@ fn invalid_fault_plan_is_rejected_before_the_engine() {
     let lines = submit_one(&addr, &req).expect("response");
     assert_eq!(lines.len(), 1);
     assert!(lines[0].contains("\"Error\"") && lines[0].contains("fault plan"));
+    drain(server, &addr);
+}
+
+#[test]
+fn invalid_mobility_is_rejected_and_the_server_keeps_answering() {
+    let (server, addr) = start(ServeConfig::default());
+    let bad = [
+        MobilityConfig {
+            update_period: 0,
+            ..MobilityConfig::default()
+        },
+        MobilityConfig {
+            beacon_period: 0,
+            ..MobilityConfig::default()
+        },
+        MobilityConfig {
+            speed_min: 1e-4,
+            speed_max: 1e-5,
+            ..MobilityConfig::default()
+        },
+        MobilityConfig {
+            speed_min: -1e-5,
+            ..MobilityConfig::default()
+        },
+    ];
+    let mut stream = TcpStream::connect(&addr).unwrap();
+    for (i, mobility) in bad.iter().enumerate() {
+        let mut req = run_req(20 + i as u64, "lamm", 0, false);
+        req.scenario.mobility = Some(*mobility);
+        writeln!(
+            stream,
+            "{}",
+            serde_json::to_string(&Request::Run(req)).unwrap()
+        )
+        .unwrap();
+    }
+    writeln!(stream, "{}", serde_json::to_string(&Request::Ping).unwrap()).unwrap();
+    stream.flush().unwrap();
+    let mut reader = BufReader::new(stream);
+    for i in 0..bad.len() {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(
+            line.contains("\"Error\"")
+                && line.contains(&format!("\"id\":{}", 20 + i))
+                && line.contains("mobility"),
+            "request {i}: {line}"
+        );
+    }
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(
+        line.contains("\"Pong\""),
+        "server stopped answering: {line}"
+    );
+    drop(reader);
+    drain(server, &addr);
+}
+
+#[test]
+fn mobile_cell_is_byte_identical_to_local_oracle() {
+    let (server, addr) = start(ServeConfig::default());
+    let mut req = run_req(8, "lamm", 5, true);
+    req.scenario.mobility = Some(MobilityConfig {
+        speed_max: 2e-4,
+        update_period: 50,
+        beacon_period: 100,
+        ..MobilityConfig::default()
+    });
+    let got = submit_one(&addr, &req).expect("served");
+    let want = local_lines(&req).expect("oracle");
+    assert_eq!(got, want, "served bytes must equal the serial oracle");
     drain(server, &addr);
 }
 

@@ -28,7 +28,7 @@
 //!   lists** (`own`) so interference and half-duplex checks in
 //!   [`Channel::resolve_ended_into`] scan only the handful of records
 //!   audible at one station; every list entry is a denormalized
-//!   [`AirRef`] carrying the interference window (start/end/sender/kind)
+//!   `AirRef` carrying the interference window (start/end/sender/kind)
 //!   inline, so the hot scans never chase the record slab,
 //! * **per-station carrier watermarks** (`air_until`) raised at launch
 //!   over the sender and its neighborhood, so carrier sense
@@ -40,8 +40,8 @@
 //!
 //! All bookkeeping is behaviorally invisible: outcomes, RNG draw order,
 //! and the airtime ledger are bit-identical to the naive full-rescan
-//! reference in [`reference`], which doubles as a differential oracle via
-//! [`Channel::enable_crosscheck`].
+//! reference in [`reference`](mod@reference), which doubles as a
+//! differential oracle via [`Channel::enable_crosscheck`].
 
 pub mod reference;
 

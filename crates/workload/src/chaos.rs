@@ -4,10 +4,10 @@
 //!
 //! The harness closes the loop the individual robustness features opened:
 //! crash/reboot faults ([`rmm_sim::FaultPlan`]), membership churn
-//! ([`ChurnPlan`](crate::churn::ChurnPlan)), and the burst-error channel
-//! are composed into randomized schedules, every schedule is simulated
-//! under a protocol, and the run is checked against invariants that must
-//! hold *no matter what the schedule does*:
+//! ([`ChurnPlan`]), and the burst-error channel are composed into
+//! randomized schedules, every schedule is simulated under a protocol,
+//! and the run is checked against invariants that must hold *no matter
+//! what the schedule does*:
 //!
 //! * **Stall** — no sender trips the liveness watchdog (bounded retry
 //!   budgets guarantee forward progress even against dead receivers),
@@ -31,7 +31,7 @@
 
 use crate::churn::ChurnPlan;
 use crate::observe::PhaseTimings;
-use crate::runner::{run_one_forensic, RunResult};
+use crate::runner::{run, RunOpts, RunResult};
 use crate::scenario::Scenario;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -166,8 +166,22 @@ impl ChaosSchedule {
 /// once on the naive reference stepper — and checks every chaos
 /// invariant. Empty means the run was clean.
 pub fn check_invariants(scenario: &Scenario, protocol: ProtocolKind, seed: u64) -> Vec<Violation> {
-    let (fast, fast_trace, records) = run_one_forensic(scenario, protocol, seed, true);
-    let (naive, naive_trace, _) = run_one_forensic(scenario, protocol, seed, false);
+    let forensic = |naive| {
+        let opts = RunOpts {
+            naive,
+            trace: true,
+            records: true,
+            ..RunOpts::default()
+        };
+        let run = run(scenario, protocol, seed, opts);
+        (
+            run.result,
+            run.trace.expect("tracing was enabled"),
+            run.records,
+        )
+    };
+    let (fast, fast_trace, records) = forensic(false);
+    let (naive, naive_trace, _) = forensic(true);
     let mut out = Vec::new();
     if fast_trace.events() != naive_trace.events() {
         let idx = fast_trace

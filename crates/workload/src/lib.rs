@@ -39,9 +39,8 @@ pub use observe::{
 };
 pub use placement::uniform_square;
 pub use runner::{
-    mean_group_metrics, run_many, run_many_jobs, run_many_seeded, run_mobile, run_mobile_naive,
-    run_one, run_one_forensic, run_one_naive, run_one_profiled, run_one_profiled_traced,
-    run_one_traced, run_one_traced_naive, RunResult, StallReport,
+    mean_group_metrics, run, run_many, run_many_jobs, run_one, run_one_naive, Run, RunOpts,
+    RunResult, StallReport,
 };
 pub use scenario::{scenario_schema_hash, Scenario};
 pub use traffic::{TrafficGen, TrafficMix};

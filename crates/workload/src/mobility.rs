@@ -7,8 +7,10 @@
 //! nodes the beacon abstraction is invisible; with mobility it matters:
 //! stations act on the neighbor set and positions as of the **last
 //! beacon exchange**, which lags the ground truth. This module provides
-//! the classic random-waypoint model and the beacon-refresh plumbing the
-//! mobile runner uses.
+//! the classic random-waypoint model; [`Scenario::mobility`] switches it
+//! on for a run.
+//!
+//! [`Scenario::mobility`]: crate::Scenario::mobility
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -29,6 +31,29 @@ pub struct MobilityConfig {
     /// neighbor tables and advertised positions. Staleness is
     /// `beacon_period − update_period` in the worst case.
     pub beacon_period: u64,
+}
+
+impl MobilityConfig {
+    /// Checks that the configuration can drive a run: finite speeds with
+    /// `0 ≤ speed_min ≤ speed_max`, and update and beacon periods of at
+    /// least one slot.
+    pub fn validate(&self) -> Result<(), String> {
+        let (lo, hi) = (self.speed_min, self.speed_max);
+        if !(lo.is_finite() && hi.is_finite() && 0.0 <= lo && lo <= hi) {
+            return Err(format!(
+                "mobility speeds need 0 <= speed_min <= speed_max, both finite \
+                 (got speed_min {lo}, speed_max {hi})"
+            ));
+        }
+        if self.update_period == 0 || self.beacon_period == 0 {
+            return Err(format!(
+                "mobility periods must be at least 1 slot (got update_period {}, \
+                 beacon_period {})",
+                self.update_period, self.beacon_period
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl Default for MobilityConfig {
@@ -198,6 +223,31 @@ mod tests {
         a.step(500);
         b.step(500);
         assert_eq!(a.positions(), b.positions());
+    }
+
+    #[test]
+    fn validate_rejects_what_would_panic_a_run() {
+        assert_eq!(MobilityConfig::default().validate(), Ok(()));
+        let bad = [
+            config(-1e-5),
+            MobilityConfig {
+                speed_min: 1e-4,
+                ..config(1e-5)
+            },
+            config(f64::NAN),
+            config(f64::INFINITY),
+            MobilityConfig {
+                update_period: 0,
+                ..config(1e-5)
+            },
+            MobilityConfig {
+                beacon_period: 0,
+                ..config(1e-5)
+            },
+        ];
+        for c in bad {
+            assert!(c.validate().is_err(), "{c:?} accepted");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rmm_geom::Point;
 use rmm_mac::{FrameKindCounts, MacNode, Outcome, ProtocolKind, SentRecord};
-use rmm_sim::{AirtimeBreakdown, Engine, MsgId, NodeId, Slot, Trace};
+use rmm_sim::{AirtimeBreakdown, Engine, MsgId, NodeId, Slot, Topology, Trace};
 use rmm_stats::{MessageMetric, ProfileReport, RunMetrics};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -19,6 +19,9 @@ use std::time::Instant;
 
 /// Dedicated seed stream for the burst-error channel ("burst").
 const BURST_SEED: u64 = 0x0062_7572_7374;
+
+/// Dedicated seed stream for beacon-position noise ("noise").
+const NOISE_SEED: u64 = 0x006e_6f69_7365;
 
 /// Gaussian sample via Box–Muller (keeps the dependency set small).
 fn gaussian(rng: &mut SmallRng, sigma: f64) -> f64 {
@@ -167,133 +170,146 @@ pub struct RunResult {
     pub manifest: RunManifest,
 }
 
-/// Executes one seeded run of `scenario` under `protocol`, using the
-/// engine's event-horizon fast path (bit-exact with naive stepping; see
-/// [`run_one_naive`]).
+/// What a run records besides its result, and how it steps the engine.
+/// None of the options changes the simulation: tracing, profiling and
+/// record keeping only observe, and the naive stepper is bit-exact with
+/// the fast path (the differential suite checks all four).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RunOpts {
+    /// Step every slot instead of fast-forwarding dead air with
+    /// `Engine::advance_to` (the reference for differential testing).
+    pub naive: bool,
+    /// Record the full protocol event trace.
+    pub trace: bool,
+    /// Time the engine phases (the timers include the cost of tracing
+    /// when both are on).
+    pub profile: bool,
+    /// Keep every sender's raw service records (`record.msg.src`
+    /// identifies the sender), for invariant checkers.
+    pub records: bool,
+}
+
+/// One run: its result plus whatever [`RunOpts`] asked to record.
+#[derive(Debug)]
+pub struct Run {
+    /// The run's result.
+    pub result: RunResult,
+    /// The event trace, when [`RunOpts::trace`] was set.
+    pub trace: Option<Trace>,
+    /// The engine phase timers, when [`RunOpts::profile`] was set.
+    pub profile: Option<ProfileReport>,
+    /// Every sender's service records, when [`RunOpts::records`] was set
+    /// (empty otherwise).
+    pub records: Vec<SentRecord>,
+}
+
+/// Executes one seeded run of `scenario` under `protocol` on the
+/// event-horizon fast path (bit-exact with [`run_one_naive`]).
 pub fn run_one(scenario: &Scenario, protocol: ProtocolKind, seed: u64) -> RunResult {
-    run_one_impl(scenario, protocol, seed, false, true, false, false).0
+    run(scenario, protocol, seed, RunOpts::default()).result
 }
 
-/// [`run_one`] with naive slot-by-slot stepping. Reference
-/// implementation for the differential determinism suite; produces a
-/// byte-identical result (modulo wall-clock provenance).
+/// [`run_one`] with naive slot-by-slot stepping: the reference the
+/// differential suite diffs the fast path against.
 pub fn run_one_naive(scenario: &Scenario, protocol: ProtocolKind, seed: u64) -> RunResult {
-    run_one_impl(scenario, protocol, seed, false, false, false, false).0
+    let opts = RunOpts {
+        naive: true,
+        ..RunOpts::default()
+    };
+    run(scenario, protocol, seed, opts).result
 }
 
-/// [`run_one`] with event tracing enabled: returns the result together
-/// with the full protocol event trace. Tracing only *records* — the
-/// simulation is slot-for-slot identical to the untraced run.
-pub fn run_one_traced(
-    scenario: &Scenario,
-    protocol: ProtocolKind,
-    seed: u64,
-) -> (RunResult, Trace) {
-    let (result, trace, _, _) = run_one_impl(scenario, protocol, seed, true, true, false, false);
-    (result, trace.expect("tracing was enabled"))
+/// Random-waypoint motion and the beacon view stations act on. Ground
+/// truth moves every `config.update_period` slots; stations refresh
+/// their neighbor tables and advertised positions only every
+/// `config.beacon_period` slots, so in between they act on *stale*
+/// beacon state — the realistic failure mode for neighbor-list-based
+/// multicast.
+struct Motion {
+    config: MobilityConfig,
+    waypoint: RandomWaypoint,
+    /// The topology as of the last beacon exchange.
+    beacon: Topology,
+    radius: f64,
+    position_noise: f64,
+    noise_rng: SmallRng,
 }
 
-/// [`run_one_traced`] with naive slot-by-slot stepping (the reference
-/// for differential testing).
-pub fn run_one_traced_naive(
-    scenario: &Scenario,
-    protocol: ProtocolKind,
-    seed: u64,
-) -> (RunResult, Trace) {
-    let (result, trace, _, _) = run_one_impl(scenario, protocol, seed, true, false, false, false);
-    (result, trace.expect("tracing was enabled"))
+impl Motion {
+    /// Applies the motion and beacon events due at slot `t`. External
+    /// events must land at their exact slot, so the fast path catches
+    /// the engine up before mutating the world it simulates.
+    fn at_slot(&mut self, t: Slot, engine: &mut Engine, nodes: &mut [MacNode], fast: bool) {
+        if t == 0 {
+            return;
+        }
+        if t.is_multiple_of(self.config.update_period) {
+            if fast {
+                engine.advance_to(nodes, t);
+            }
+            self.waypoint.step(self.config.update_period);
+            engine.set_topology(self.waypoint.topology(self.radius));
+        }
+        if t.is_multiple_of(self.config.beacon_period) {
+            if fast {
+                engine.advance_to(nodes, t);
+            }
+            self.beacon = engine.topology().clone();
+            let advertised =
+                advertised_positions(&self.beacon, self.position_noise, &mut self.noise_rng);
+            for node in nodes.iter_mut() {
+                node.refresh_neighbors(&self.beacon, Arc::clone(&advertised));
+                // The refresh mutates stations outside the engine:
+                // invalidate their cached wakeup hints.
+                if fast {
+                    engine.wake(node.core().id);
+                }
+            }
+        }
+    }
 }
 
-/// [`run_one`] with engine phase-timer profiling enabled: returns the
-/// result together with the per-phase cost attribution. Profiling is a
-/// pure observer — the result is byte-identical (modulo wall-clock
-/// provenance) to the unprofiled run; the differential suite checks
-/// this across every protocol.
-pub fn run_one_profiled(
-    scenario: &Scenario,
-    protocol: ProtocolKind,
-    seed: u64,
-) -> (RunResult, ProfileReport) {
-    let (result, _, profile, _) = run_one_impl(scenario, protocol, seed, false, true, true, false);
-    (result, profile.expect("profiling was enabled"))
-}
-
-/// [`run_one_profiled`] with event tracing also enabled, for reports
-/// that want phase timers, the airtime ledger, and trace-derived dwell
-/// histograms from one single run. The timer attribution includes the
-/// (small) cost of trace recording itself.
-pub fn run_one_profiled_traced(
-    scenario: &Scenario,
-    protocol: ProtocolKind,
-    seed: u64,
-) -> (RunResult, ProfileReport, Trace) {
-    let (result, trace, profile, _) =
-        run_one_impl(scenario, protocol, seed, true, true, true, false);
-    (
-        result,
-        profile.expect("profiling was enabled"),
-        trace.expect("tracing was enabled"),
+/// The positions stations advertise in their beacons: the true ones,
+/// each coordinate offset by Gaussian noise of std deviation `sigma`
+/// when it is positive (GPS error).
+fn advertised_positions(topo: &Topology, sigma: f64, rng: &mut SmallRng) -> Arc<Vec<Point>> {
+    if sigma <= 0.0 {
+        return Arc::new(topo.positions().to_vec());
+    }
+    Arc::new(
+        topo.positions()
+            .iter()
+            .map(|p| p.offset(gaussian(rng, sigma), gaussian(rng, sigma)))
+            .collect(),
     )
 }
 
-/// One run with everything an invariant checker needs below the metric
-/// aggregation: the result, the full protocol event trace, and every
-/// sender's raw service records (`record.msg.src` identifies the
-/// sender). `fast` selects the event-horizon fast path or the naive
-/// reference stepper — the chaos harness runs both and diffs them.
-pub fn run_one_forensic(
-    scenario: &Scenario,
-    protocol: ProtocolKind,
-    seed: u64,
-    fast: bool,
-) -> (RunResult, Trace, Vec<SentRecord>) {
-    let (result, trace, _, records) =
-        run_one_impl(scenario, protocol, seed, true, fast, false, true);
-    (result, trace.expect("tracing was enabled"), records)
-}
-
-fn run_one_impl(
-    scenario: &Scenario,
-    protocol: ProtocolKind,
-    seed: u64,
-    traced: bool,
-    fast: bool,
-    profiled: bool,
-    forensic: bool,
-) -> (
-    RunResult,
-    Option<Trace>,
-    Option<ProfileReport>,
-    Vec<SentRecord>,
-) {
+/// Executes one seeded run of `scenario` under `protocol`, recording
+/// what `opts` asks for. Every run, static or mobile, traced or not,
+/// goes through this one loop.
+pub fn run(scenario: &Scenario, protocol: ProtocolKind, seed: u64, opts: RunOpts) -> Run {
+    let fast = !opts.naive;
     let t_setup = Instant::now();
     let topo = uniform_square(scenario.n_nodes, scenario.radius, seed);
     let mean_degree = topo.mean_degree();
+    // Stations advertise noisy GPS positions in their beacons; the
+    // channel keeps using the true geometry.
+    let mut noise_rng = SmallRng::seed_from_u64(seed ^ NOISE_SEED);
     let mut nodes = if scenario.position_noise > 0.0 {
-        // Stations advertise noisy GPS positions in their beacons; the
-        // channel keeps using the true geometry.
-        let mut noise_rng = SmallRng::seed_from_u64(seed ^ 0x006e_6f69_7365);
-        let advertised: Vec<Point> = topo
-            .positions()
-            .iter()
-            .map(|p| {
-                p.offset(
-                    gaussian(&mut noise_rng, scenario.position_noise),
-                    gaussian(&mut noise_rng, scenario.position_noise),
-                )
-            })
-            .collect();
-        MacNode::build_network_with_positions(
-            &topo,
-            Arc::new(advertised),
-            protocol,
-            scenario.timing,
-            seed,
-        )
+        let advertised = advertised_positions(&topo, scenario.position_noise, &mut noise_rng);
+        MacNode::build_network_with_positions(&topo, advertised, protocol, scenario.timing, seed)
     } else {
         MacNode::build_network(&topo, protocol, scenario.timing, seed)
     };
-    let mut engine = Engine::new(topo.clone(), scenario.capture, seed.wrapping_add(0x5eed));
+    let mut motion = scenario.mobility.map(|config| Motion {
+        config,
+        waypoint: RandomWaypoint::new(topo.positions().to_vec(), config, seed),
+        beacon: topo.clone(),
+        radius: scenario.radius,
+        position_noise: scenario.position_noise,
+        noise_rng,
+    });
+    let mut engine = Engine::new(topo, scenario.capture, seed.wrapping_add(0x5eed));
     if scenario.fer > 0.0 {
         engine.set_fer(scenario.fer);
     }
@@ -303,10 +319,10 @@ fn run_one_impl(
     if let Some(model) = scenario.burst {
         engine.set_burst(model, seed ^ BURST_SEED);
     }
-    if traced {
+    if opts.trace {
         engine.enable_trace();
     }
-    if profiled {
+    if opts.profile {
         engine.enable_profiling();
     }
     let mut traffic = TrafficGen::new(scenario.msg_rate, scenario.mix, seed);
@@ -319,7 +335,16 @@ fn run_one_impl(
     // the fast path only wakes the engine for slots with arrivals and
     // lets `advance_to` fast-forward the dead air in between.
     for t in 0..scenario.sim_slots {
-        traffic.tick(engine.topology(), t, &mut arrivals);
+        // Requests are addressed to the neighbors the sender *believes*
+        // it has: under mobility, the beacon view, not the ground truth.
+        let view = match motion.as_mut() {
+            Some(m) => {
+                m.at_slot(t, &mut engine, &mut nodes, fast);
+                &m.beacon
+            }
+            None => engine.topology(),
+        };
+        traffic.tick(view, t, &mut arrivals);
         // Membership churn rewrites the arrival list *after* the traffic
         // draws, so the RNG stream is identical with or without a plan.
         scenario.churn.filter_arrivals(t, &mut arrivals);
@@ -370,7 +395,7 @@ fn run_one_impl(
     for node in &nodes {
         frames.add(&node.counters().sent_by_kind);
     }
-    let records = if forensic {
+    let records = if opts.records {
         nodes
             .iter()
             .flat_map(|n| n.records().iter().cloned())
@@ -399,7 +424,7 @@ fn run_one_impl(
             protocol,
             seed,
             slot_budget: scenario.sim_slots,
-            traced,
+            traced: opts.trace,
             wall_clock: PhaseTimings {
                 setup_us,
                 simulate_us,
@@ -407,195 +432,25 @@ fn run_one_impl(
             },
         },
     };
-    let profile = engine.take_profile();
-    (result, engine.take_trace(), profile, records)
-}
-
-/// Executes one seeded run with random-waypoint mobility and periodic
-/// beaconing. Ground truth moves every `mobility.update_period` slots;
-/// stations refresh their neighbor tables and advertised positions only
-/// every `mobility.beacon_period` slots, so they act on *stale* beacon
-/// state in between — the realistic failure mode for neighbor-list-based
-/// multicast.
-pub fn run_mobile(
-    scenario: &Scenario,
-    protocol: ProtocolKind,
-    mobility: MobilityConfig,
-    seed: u64,
-) -> RunResult {
-    run_mobile_impl(scenario, protocol, mobility, seed, true)
-}
-
-/// [`run_mobile`] with naive slot-by-slot stepping (the reference for
-/// differential testing).
-pub fn run_mobile_naive(
-    scenario: &Scenario,
-    protocol: ProtocolKind,
-    mobility: MobilityConfig,
-    seed: u64,
-) -> RunResult {
-    run_mobile_impl(scenario, protocol, mobility, seed, false)
-}
-
-fn run_mobile_impl(
-    scenario: &Scenario,
-    protocol: ProtocolKind,
-    mobility: MobilityConfig,
-    seed: u64,
-    fast: bool,
-) -> RunResult {
-    let t_setup = Instant::now();
-    let initial = uniform_square(scenario.n_nodes, scenario.radius, seed);
-    let mut waypoint = RandomWaypoint::new(initial.positions().to_vec(), mobility, seed);
-    let mut true_topo = waypoint.topology(scenario.radius);
-    let mean_degree = true_topo.mean_degree();
-    let mut beacon_topo = true_topo.clone();
-    let advertised = Arc::new(beacon_topo.positions().to_vec());
-    let mut nodes = MacNode::build_network_with_positions(
-        &beacon_topo,
-        advertised,
-        protocol,
-        scenario.timing,
-        seed,
-    );
-    let mut engine = Engine::new(
-        true_topo.clone(),
-        scenario.capture,
-        seed.wrapping_add(0x5eed),
-    );
-    if scenario.fer > 0.0 {
-        engine.set_fer(scenario.fer);
-    }
-    if !scenario.faults.is_empty() {
-        engine.set_faults(scenario.faults.clone());
-    }
-    if let Some(model) = scenario.burst {
-        engine.set_burst(model, seed ^ BURST_SEED);
-    }
-    let mut traffic = TrafficGen::new(scenario.msg_rate, scenario.mix, seed);
-    let mut arrivals = Vec::new();
-    let mut stalls = Vec::new();
-    let setup_us = t_setup.elapsed().as_micros() as u64;
-
-    let t_simulate = Instant::now();
-    for t in 0..scenario.sim_slots {
-        if t > 0 && t % mobility.update_period == 0 {
-            // External events must land at their exact slot: catch the
-            // engine up before mutating the world it simulates.
-            if fast {
-                engine.advance_to(&mut nodes, t);
-            }
-            waypoint.step(mobility.update_period);
-            true_topo = waypoint.topology(scenario.radius);
-            engine.set_topology(true_topo.clone());
-        }
-        if t > 0 && t % mobility.beacon_period == 0 {
-            if fast {
-                engine.advance_to(&mut nodes, t);
-            }
-            beacon_topo = true_topo.clone();
-            let advertised = Arc::new(beacon_topo.positions().to_vec());
-            for (i, node) in nodes.iter_mut().enumerate() {
-                node.refresh_neighbors(&beacon_topo, Arc::clone(&advertised));
-                // The refresh mutates stations outside the engine:
-                // invalidate their cached wakeup hints.
-                if fast {
-                    engine.wake(NodeId(i as u32));
-                }
-            }
-        }
-        // Requests are addressed to the neighbors the sender *believes*
-        // it has — the beacon view, not the ground truth.
-        traffic.tick(&beacon_topo, t, &mut arrivals);
-        scenario.churn.filter_arrivals(t, &mut arrivals);
-        if fast && !arrivals.is_empty() {
-            engine.advance_to(&mut nodes, t);
-        }
-        for a in &arrivals {
-            nodes[a.node.index()].enqueue(a.kind, a.receivers.clone(), t);
-            if fast {
-                engine.wake(a.node);
-            }
-        }
-        if let Some(w) = scenario.stall_window {
-            if t > 0 && t % w == 0 {
-                if fast {
-                    engine.advance_to(&mut nodes, t);
-                }
-                check_stalls(&engine, &nodes, t, w, &mut stalls);
-            }
-        }
-        if !fast {
-            engine.step(&mut nodes);
-        }
-    }
-    if fast {
-        engine.advance_to(&mut nodes, scenario.sim_slots);
-    }
-    for node in &mut nodes {
-        node.drain_unfinished(scenario.sim_slots);
-    }
-    let simulate_us = t_simulate.elapsed().as_micros() as u64;
-
-    let t_collect = Instant::now();
-    let messages = collect_messages(&nodes, scenario);
-    let group: Vec<MessageMetric> = messages.iter().filter(|m| m.is_group).cloned().collect();
-    let unicast: Vec<MessageMetric> = messages.iter().filter(|m| !m.is_group).cloned().collect();
-    let mut frames = FrameKindCounts::default();
-    for node in &nodes {
-        frames.add(&node.counters().sent_by_kind);
-    }
-    let churn_epochs = scenario
-        .churn
-        .epoch_metrics(&messages, scenario.reliability_threshold);
-    let collect_us = t_collect.elapsed().as_micros() as u64;
-    RunResult {
-        seed,
-        mean_degree,
-        group_metrics: RunMetrics::compute(&group, scenario.reliability_threshold),
-        unicast_metrics: RunMetrics::compute(&unicast, scenario.reliability_threshold),
-        messages,
-        collisions: engine.channel().collisions_total,
-        utilization: engine.channel().busy_slots as f64 / scenario.sim_slots as f64,
-        airtime: engine.channel().ledger().breakdown(scenario.sim_slots),
-        frames,
-        stalls,
-        churn_epochs,
-        manifest: RunManifest {
-            scenario: scenario.clone(),
-            protocol,
-            seed,
-            slot_budget: scenario.sim_slots,
-            traced: false,
-            wall_clock: PhaseTimings {
-                setup_us,
-                simulate_us,
-                collect_us,
-            },
-        },
+    Run {
+        result,
+        profile: engine.take_profile(),
+        trace: engine.take_trace(),
+        records,
     }
 }
 
 /// Executes `scenario.n_runs` seeded runs in parallel (one OS thread per
 /// available core) and returns them ordered by seed.
 pub fn run_many(scenario: &Scenario, protocol: ProtocolKind) -> Vec<RunResult> {
-    run_many_seeded(scenario, protocol, 0)
+    run_many_jobs(scenario, protocol, 0, 0)
 }
 
 /// [`run_many`] with a seed offset, for experiments that must not share
-/// topologies across sweep points.
-pub fn run_many_seeded(
-    scenario: &Scenario,
-    protocol: ProtocolKind,
-    seed_base: u64,
-) -> Vec<RunResult> {
-    run_many_jobs(scenario, protocol, seed_base, 0)
-}
-
-/// [`run_many_seeded`] with an explicit worker count (`0` = one per
-/// available core). Each run derives all randomness from its own seed,
-/// and the fleet pool merges results back in seed order, so the output
-/// is identical at any worker count.
+/// topologies across sweep points, and an explicit worker count (`0` =
+/// one per available core). Each run derives all randomness from its own
+/// seed, and the fleet pool merges results back in seed order, so the
+/// output is identical at any worker count.
 pub fn run_many_jobs(
     scenario: &Scenario,
     protocol: ProtocolKind,

@@ -1,6 +1,7 @@
 //! Scenario configuration (the paper's Table 2, as a struct).
 
 use crate::churn::ChurnPlan;
+use crate::mobility::MobilityConfig;
 use crate::traffic::TrafficMix;
 use rmm_mac::MacTiming;
 use rmm_sim::{Capture, FaultPlan, GilbertElliott};
@@ -50,6 +51,10 @@ pub struct Scenario {
     /// default; an empty plan leaves the run bit-identical to a
     /// churn-free build.
     pub churn: ChurnPlan,
+    /// Random-waypoint mobility with periodic beaconing: stations act on
+    /// the neighbor tables and positions of the last beacon exchange.
+    /// `None` keeps every station where it was placed.
+    pub mobility: Option<MobilityConfig>,
 }
 
 impl Default for Scenario {
@@ -70,6 +75,7 @@ impl Default for Scenario {
             burst: None,
             stall_window: None,
             churn: ChurnPlan::new(),
+            mobility: None,
         }
     }
 }
@@ -134,16 +140,22 @@ impl Scenario {
         self.churn = churn;
         self
     }
+
+    /// Scenario with random-waypoint mobility.
+    pub fn with_mobility(mut self, mobility: MobilityConfig) -> Self {
+        self.mobility = Some(mobility);
+        self
+    }
 }
 
 /// Fingerprint of the [`Scenario`] *serialization shape*.
 ///
 /// A probe scenario with every optional subsystem populated (all four
-/// fault kinds, churn, burst channel, watchdog, position noise — so
-/// every nested shape appears in the JSON) is serialized and its
-/// structure hashed: key names, nesting, and enum tags, with numbers
-/// and booleans reduced to their JSON type so value changes don't
-/// matter. Sweep manifests and the serve result cache stamp this into
+/// fault kinds, churn, burst channel, watchdog, position noise,
+/// mobility — so every nested shape appears in the JSON) is serialized
+/// and its structure hashed: key names, nesting, and enum tags, with
+/// numbers and booleans reduced to their JSON type so value changes
+/// don't matter. Sweep manifests and the serve result cache stamp this into
 /// their headers ([`rmm_fleet::ManifestHeader::schema`]); adding,
 /// renaming, or moving a `Scenario` field therefore invalidates cached
 /// entries even when the stored options string would still parse —
@@ -157,7 +169,8 @@ pub fn scenario_schema_hash() -> u32 {
         .with_churn(ChurnPlan::parse("leave:0@1;join:0@2").expect("probe churn plan parses"))
         .with_burst(GilbertElliott::new(0.1, 0.9))
         .with_stall_window(1)
-        .with_position_noise(0.1);
+        .with_position_noise(0.1)
+        .with_mobility(MobilityConfig::default());
     let mut h = rmm_fleet::Fnv1a::new();
     walk_shape(&serde_json::to_value(&probe), &mut h);
     let h = h.finish();
@@ -218,6 +231,7 @@ mod tests {
         assert!(s.burst.is_none());
         assert!(s.stall_window.is_none());
         assert!(s.churn.is_empty());
+        assert!(s.mobility.is_none());
     }
 
     #[test]
@@ -248,6 +262,21 @@ mod tests {
         let json = serde_json::to_string(&s).unwrap();
         let back: Scenario = serde_json::from_str(&json).unwrap();
         assert_eq!(s, back);
+    }
+
+    #[test]
+    fn mobility_round_trips_and_is_optional_in_json() {
+        let mobile = Scenario::default().with_mobility(MobilityConfig::default());
+        let json = serde_json::to_string(&mobile).unwrap();
+        assert_eq!(serde_json::from_str::<Scenario>(&json).unwrap(), mobile);
+        // JSON written before the field existed parses as a static run.
+        let json = serde_json::to_string(&Scenario::default()).unwrap();
+        let old = json.replace(",\"mobility\":null", "");
+        assert!(!old.contains("mobility"), "{old}");
+        assert_eq!(
+            serde_json::from_str::<Scenario>(&old).unwrap(),
+            Scenario::default()
+        );
     }
 
     #[test]

@@ -12,9 +12,8 @@ use rmm_fleet::Fnv1a;
 use rmm_mac::{ProtocolKind, SentRecord};
 use rmm_sim::{FaultPlan, GilbertElliott, NodeId, Trace, TraceEvent};
 use rmm_workload::{
-    collect_metrics, run_mobile, run_mobile_naive, run_one, run_one_forensic, run_one_profiled,
-    run_one_profiled_traced, run_one_traced, run_one_traced_naive, ChurnPlan, MobilityConfig,
-    PhaseTimings, RunResult, Scenario,
+    collect_metrics, run, run_one, run_one_naive, ChurnPlan, MobilityConfig, PhaseTimings, RunOpts,
+    RunResult, Scenario,
 };
 
 const SEEDS: [u64; 5] = [1, 2, 3, 5, 8];
@@ -37,14 +36,30 @@ fn canonical(mut r: RunResult) -> String {
     serde_json::to_string(&r).expect("RunResult serializes")
 }
 
+/// One traced run on the fast path or the naive stepper.
+fn run_traced(
+    scenario: &Scenario,
+    protocol: ProtocolKind,
+    seed: u64,
+    naive: bool,
+) -> (RunResult, Trace) {
+    let opts = RunOpts {
+        naive,
+        trace: true,
+        ..RunOpts::default()
+    };
+    let run = run(scenario, protocol, seed, opts);
+    (run.result, run.trace.expect("tracing was enabled"))
+}
+
 fn assert_bit_exact(
     scenario: &Scenario,
     protocol: ProtocolKind,
     seed: u64,
     label: &str,
 ) -> (RunResult, Trace) {
-    let (fast, fast_trace) = run_one_traced(scenario, protocol, seed);
-    let (naive, naive_trace) = run_one_traced_naive(scenario, protocol, seed);
+    let (fast, fast_trace) = run_traced(scenario, protocol, seed, false);
+    let (naive, naive_trace) = run_traced(scenario, protocol, seed, true);
     assert_eq!(
         fast_trace.events(),
         naive_trace.events(),
@@ -274,7 +289,13 @@ fn profiling_is_bit_exact_for_all_protocols() {
     for protocol in ALL_PROTOCOLS {
         for seed in [1, 2] {
             let plain = run_one(&scenario, protocol, seed);
-            let (profiled, report) = run_one_profiled(&scenario, protocol, seed);
+            let profile = RunOpts {
+                profile: true,
+                ..RunOpts::default()
+            };
+            let profiled = run(&scenario, protocol, seed, profile);
+            let report = profiled.profile.expect("profiling was enabled");
+            let profiled = profiled.result;
             assert_eq!(
                 canonical(plain),
                 canonical(profiled),
@@ -300,8 +321,18 @@ fn profiling_is_bit_exact_for_all_protocols() {
             }
             // Profiling a *traced* run must not disturb the event stream
             // either (the `rmm prof` path).
-            let (_, _, prof_trace) = run_one_profiled_traced(&scenario, protocol, seed);
-            let (_, trace) = run_one_traced(&scenario, protocol, seed);
+            let prof_trace = run(
+                &scenario,
+                protocol,
+                seed,
+                RunOpts {
+                    trace: true,
+                    ..profile
+                },
+            )
+            .trace
+            .expect("tracing was enabled");
+            let (_, trace) = run_traced(&scenario, protocol, seed, false);
             assert_eq!(
                 prof_trace.events(),
                 trace.events(),
@@ -320,12 +351,12 @@ fn fast_stepping_is_bit_exact_under_mobility() {
         sim_slots: 2_000,
         n_runs: 1,
         msg_rate: 1e-3,
+        mobility: Some(MobilityConfig::default()),
         ..Scenario::default()
     };
-    let mobility = MobilityConfig::default();
     for seed in [31, 32] {
-        let fast = run_mobile(&scenario, ProtocolKind::Bmmm, mobility, seed);
-        let naive = run_mobile_naive(&scenario, ProtocolKind::Bmmm, mobility, seed);
+        let fast = run_one(&scenario, ProtocolKind::Bmmm, seed);
+        let naive = run_one_naive(&scenario, ProtocolKind::Bmmm, seed);
         assert_eq!(
             canonical(fast),
             canonical(naive),
@@ -334,22 +365,78 @@ fn fast_stepping_is_bit_exact_under_mobility() {
     }
 }
 
+/// Mobile runs take the same loop as static ones, so tracing,
+/// profiling and beacon-position noise reach them too: the trace stays
+/// bit-exact between the steppers, neither observer perturbs the run,
+/// and LAMM acts on the noisy positions its beacons advertise.
+#[test]
+fn mobile_runs_trace_profile_and_honour_position_noise() {
+    let clean = Scenario {
+        n_nodes: 60,
+        sim_slots: 2_000,
+        n_runs: 1,
+        msg_rate: 1e-3,
+        ..Scenario::default()
+    }
+    .with_mobility(MobilityConfig {
+        speed_min: 0.0,
+        speed_max: 2e-4,
+        update_period: 50,
+        beacon_period: 200,
+    });
+    let noisy = clean.clone().with_position_noise(0.05);
+    for protocol in ALL_PROTOCOLS {
+        let (mut traced, _) = assert_bit_exact(&noisy, protocol, 33, "mobile");
+        let plain = run_one(&noisy, protocol, 33);
+        let profiled = RunOpts {
+            profile: true,
+            ..RunOpts::default()
+        };
+        let profiled = run(&noisy, protocol, 33, profiled).result;
+        assert_eq!(
+            canonical(plain.clone()),
+            canonical(profiled),
+            "[mobile] {protocol:?}: profiling perturbed the run"
+        );
+        traced.manifest.traced = false;
+        assert_eq!(
+            canonical(plain),
+            canonical(traced),
+            "[mobile] {protocol:?}: tracing perturbed the run"
+        );
+    }
+    let (clean_run, noisy_run) = (
+        run_one(&clean, ProtocolKind::Lamm, 33),
+        run_one(&noisy, ProtocolKind::Lamm, 33),
+    );
+    assert_ne!(
+        serde_json::to_string(&clean_run.messages).expect("messages serialize"),
+        serde_json::to_string(&noisy_run.messages).expect("messages serialize"),
+        "position noise left the mobile LAMM run untouched"
+    );
+}
+
 /// One golden cell on the fast path: the result, the trace and every
-/// sender's records. The mobile runner records neither trace nor
-/// records, so mobility cells pin the result alone.
+/// sender's records. The golden digests predate traced mobile runs, so
+/// mobility cells pin the result alone.
 fn golden_cell(
     scenario: &Scenario,
     mobility: Option<MobilityConfig>,
     protocol: ProtocolKind,
     seed: u64,
 ) -> (RunResult, Option<Trace>, Vec<SentRecord>) {
-    match mobility {
-        None => {
-            let (result, trace, records) = run_one_forensic(scenario, protocol, seed, true);
-            (result, Some(trace), records)
-        }
-        Some(m) => (run_mobile(scenario, protocol, m, seed), None, Vec::new()),
-    }
+    let on_static = mobility.is_none();
+    let scenario = Scenario {
+        mobility,
+        ..scenario.clone()
+    };
+    let opts = RunOpts {
+        trace: on_static,
+        records: on_static,
+        ..RunOpts::default()
+    };
+    let run = run(&scenario, protocol, seed, opts);
+    (run.result, run.trace, run.records)
 }
 
 /// FNV digest of a result's JSON with the provenance manifest left out:

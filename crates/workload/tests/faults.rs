@@ -13,8 +13,18 @@
 //!    give-ups, and the reachable-receiver delivery metric stays honest.
 
 use rmm_mac::{MacTiming, ProtocolKind};
-use rmm_sim::{FaultPlan, GilbertElliott, NodeId, TraceEvent};
-use rmm_workload::{run_one, run_one_traced, PhaseTimings, RunResult, Scenario};
+use rmm_sim::{FaultPlan, GilbertElliott, NodeId, Trace, TraceEvent};
+use rmm_workload::{run, run_one, PhaseTimings, RunOpts, RunResult, Scenario};
+
+/// One traced fast-path run.
+fn run_traced(scenario: &Scenario, protocol: ProtocolKind, seed: u64) -> (RunResult, Trace) {
+    let opts = RunOpts {
+        trace: true,
+        ..RunOpts::default()
+    };
+    let run = run(scenario, protocol, seed, opts);
+    (run.result, run.trace.expect("tracing was enabled"))
+}
 
 const ALL_PROTOCOLS: [ProtocolKind; 8] = [
     ProtocolKind::Ieee80211,
@@ -65,9 +75,9 @@ fn inert_fault_machinery_leaves_runs_bit_identical() {
     ];
     for protocol in [ProtocolKind::Bmmm, ProtocolKind::Bsma, ProtocolKind::Bmw] {
         for seed in [1, 7] {
-            let (plain, plain_trace) = run_one_traced(&base, protocol, seed);
+            let (plain, plain_trace) = run_traced(&base, protocol, seed);
             for (label, scenario) in &variants {
-                let (got, got_trace) = run_one_traced(scenario, protocol, seed);
+                let (got, got_trace) = run_traced(scenario, protocol, seed);
                 assert_eq!(
                     plain_trace.events(),
                     got_trace.events(),
@@ -136,7 +146,7 @@ fn one_crashed_receiver_degrades_gracefully_for_every_protocol() {
     let mut any_unreachable = false;
     for protocol in ALL_PROTOCOLS {
         for seed in [3, 4] {
-            let (r, trace) = run_one_traced(&scenario, protocol, seed);
+            let (r, trace) = run_traced(&scenario, protocol, seed);
             assert!(
                 r.stalls.is_empty(),
                 "{protocol:?} seed {seed}: stalled with a single crashed receiver: {:?}",

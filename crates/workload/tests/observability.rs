@@ -4,8 +4,18 @@
 
 use rmm_mac::ProtocolKind;
 use rmm_sim::{max_idle_gap, MsgId, Trace, TraceEvent};
-use rmm_workload::{collect_metrics, run_one, run_one_traced, Scenario, TrafficMix};
+use rmm_workload::{collect_metrics, run, run_one, RunOpts, RunResult, Scenario, TrafficMix};
 use std::collections::BTreeMap;
+
+/// One traced fast-path run.
+fn run_traced(scenario: &Scenario, protocol: ProtocolKind, seed: u64) -> (RunResult, Trace) {
+    let opts = RunOpts {
+        trace: true,
+        ..RunOpts::default()
+    };
+    let run = run(scenario, protocol, seed, opts);
+    (run.result, run.trace.expect("tracing was enabled"))
+}
 
 fn traced_scenario() -> Scenario {
     Scenario {
@@ -30,7 +40,7 @@ fn traced_scenario() -> Scenario {
 #[test]
 fn bmmm_batches_hold_idle_gap_and_single_contention_invariants() {
     let scenario = traced_scenario();
-    let (_result, trace) = run_one_traced(&scenario, ProtocolKind::Bmmm, 11);
+    let (_result, trace) = run_traced(&scenario, ProtocolKind::Bmmm, 11);
     let parsed = Trace::from_jsonl(&trace.to_jsonl()).expect("JSONL parses");
     assert_eq!(parsed.events(), trace.events());
     let events = parsed.events();
@@ -92,7 +102,7 @@ fn bmmm_batches_hold_idle_gap_and_single_contention_invariants() {
 fn tracing_changes_no_metric_values() {
     let scenario = traced_scenario();
     let plain = run_one(&scenario, ProtocolKind::Lamm, 3);
-    let (traced, trace) = run_one_traced(&scenario, ProtocolKind::Lamm, 3);
+    let (traced, trace) = run_traced(&scenario, ProtocolKind::Lamm, 3);
     assert!(!trace.events().is_empty());
     assert_eq!(plain.messages.len(), traced.messages.len());
     assert_eq!(plain.collisions, traced.collisions);
@@ -119,7 +129,7 @@ fn tracing_changes_no_metric_values() {
 #[test]
 fn collected_metrics_are_consistent_with_the_trace() {
     let scenario = traced_scenario();
-    let (result, trace) = run_one_traced(&scenario, ProtocolKind::Bmmm, 7);
+    let (result, trace) = run_traced(&scenario, ProtocolKind::Bmmm, 7);
     let reg = collect_metrics(trace.events(), &result.messages);
     assert!(reg.counter("tx_frames") > 0);
     assert!(reg.counter("contention_starts") >= reg.counter("contention_wins"));
@@ -147,7 +157,7 @@ fn collected_metrics_are_consistent_with_the_trace() {
 #[test]
 fn lamm_cover_sets_and_manifest_provenance() {
     let scenario = traced_scenario();
-    let (result, trace) = run_one_traced(&scenario, ProtocolKind::Lamm, 9);
+    let (result, trace) = run_traced(&scenario, ProtocolKind::Lamm, 9);
     let mut cover_sets = 0;
     for ev in trace.events() {
         if let TraceEvent::CoverSetComputed { full, cover, .. } = ev {

@@ -9,7 +9,7 @@
 
 use rmm::prelude::*;
 use rmm::stats::Table;
-use rmm::workload::{run_mobile, MobilityConfig};
+use rmm::workload::MobilityConfig;
 
 fn main() {
     let runs: u64 = std::env::args()
@@ -28,20 +28,16 @@ fn main() {
     );
     let mut table = Table::new(["max speed", "BMMM rate", "LAMM rate", "BMW rate"]);
     for vmax in [0.0, 2e-5, 1e-4, 3e-4] {
-        let config = MobilityConfig {
+        let mobile = scenario.clone().with_mobility(MobilityConfig {
             speed_min: 0.0,
             speed_max: vmax,
             update_period: 100,
             beacon_period: 500,
-        };
+        });
         let mut rates = Vec::new();
         for protocol in [ProtocolKind::Bmmm, ProtocolKind::Lamm, ProtocolKind::Bmw] {
             let mean: f64 = (0..runs)
-                .map(|seed| {
-                    run_mobile(&scenario, protocol, config, seed)
-                        .group_metrics
-                        .delivery_rate
-                })
+                .map(|seed| run_one(&mobile, protocol, seed).group_metrics.delivery_rate)
                 .sum::<f64>()
                 / runs as f64;
             rates.push(mean);

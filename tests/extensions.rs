@@ -7,7 +7,7 @@
 use rmm::analysis::bmmm_expected_total_phases;
 use rmm::mac::{MacNode, MacTiming, Outcome, ProtocolKind};
 use rmm::prelude::*;
-use rmm::workload::{run_mobile, run_one, MobilityConfig, TrafficGen};
+use rmm::workload::{run_one, MobilityConfig, TrafficGen};
 
 fn star(n: usize) -> Topology {
     let mut pts = vec![Point::new(0.5, 0.5)];
@@ -175,7 +175,7 @@ fn zero_speed_mobility_matches_the_static_runner() {
         ..Default::default()
     };
     let static_run = run_one(&s, ProtocolKind::Bmmm, 11);
-    let mobile_run = run_mobile(&s, ProtocolKind::Bmmm, mobility, 11);
+    let mobile_run = run_one(&s.clone().with_mobility(mobility), ProtocolKind::Bmmm, 11);
     assert_eq!(static_run.messages.len(), mobile_run.messages.len());
     assert_eq!(
         static_run.group_metrics.delivery_rate,
@@ -207,10 +207,10 @@ fn fast_motion_with_stale_beacons_hurts_delivery() {
     let mut slow_rate = 0.0;
     let mut fast_rate = 0.0;
     for seed in 0..3 {
-        slow_rate += run_mobile(&s, ProtocolKind::Bmmm, slow, seed)
+        slow_rate += run_one(&s.clone().with_mobility(slow), ProtocolKind::Bmmm, seed)
             .group_metrics
             .delivery_rate;
-        fast_rate += run_mobile(&s, ProtocolKind::Bmmm, fast, seed)
+        fast_rate += run_one(&s.clone().with_mobility(fast), ProtocolKind::Bmmm, seed)
             .group_metrics
             .delivery_rate;
     }
