@@ -9,11 +9,16 @@ use crate::EPS;
 
 /// A set of circular arcs with union queries.
 ///
-/// Arcs are stored as they arrive; queries normalize them into sorted,
-/// merged linear intervals on `[0, 2π]`.
+/// Each arc is also kept as up to two linear intervals on `[0, 2π]`,
+/// inserted in sorted order, so that union queries walk one merge over
+/// them ([`ArcSet::covers_full_circle`] allocates nothing). A cleared set
+/// keeps both allocations for reuse.
 #[derive(Debug, Clone, Default)]
 pub struct ArcSet {
     arcs: Vec<Arc>,
+    /// The arcs' linear intervals, sorted by start; equal starts keep
+    /// insertion order.
+    intervals: Vec<[f64; 2]>,
 }
 
 impl ArcSet {
@@ -24,16 +29,29 @@ impl ArcSet {
 
     /// Creates a set from an iterator of arcs.
     pub fn from_arcs<I: IntoIterator<Item = Arc>>(arcs: I) -> Self {
-        ArcSet {
-            arcs: arcs.into_iter().collect(),
+        let mut set = ArcSet::new();
+        for arc in arcs {
+            set.push(arc);
         }
+        set
     }
 
     /// Adds an arc to the set. Empty arcs are ignored.
     pub fn push(&mut self, arc: Arc) {
-        if !arc.is_empty() {
-            self.arcs.push(arc);
+        if arc.is_empty() {
+            return;
         }
+        self.arcs.push(arc);
+        let (first, second) = arc.to_linear_intervals();
+        self.insert_interval(first);
+        if let Some(second) = second {
+            self.insert_interval(second);
+        }
+    }
+
+    fn insert_interval(&mut self, iv: [f64; 2]) {
+        let at = self.intervals.partition_point(|x| x[0] <= iv[0]);
+        self.intervals.insert(at, iv);
     }
 
     /// Number of (raw, unmerged) arcs.
@@ -49,42 +67,34 @@ impl ArcSet {
     /// Removes all arcs, keeping the allocation (workhorse reuse).
     pub fn clear(&mut self) {
         self.arcs.clear();
+        self.intervals.clear();
+    }
+
+    /// The union as sorted, disjoint intervals, produced one at a time:
+    /// an interval absorbs every later one that starts within [`EPS`] of
+    /// its end. This walk is the crate's only interval merge.
+    fn merged(&self) -> Merged<'_> {
+        Merged {
+            rest: self.intervals.iter(),
+            next: None,
+        }
     }
 
     /// Merged linear intervals `[lo, hi]` (sorted, disjoint) covering the
     /// same directions as the arc union, with `0 ≤ lo ≤ hi ≤ 2π`.
     pub fn merged_intervals(&self) -> Vec<[f64; 2]> {
-        let mut intervals: Vec<[f64; 2]> = Vec::with_capacity(self.arcs.len() * 2);
-        for arc in &self.arcs {
-            let (first, second) = arc.to_linear_intervals();
-            intervals.push(first);
-            if let Some(second) = second {
-                intervals.push(second);
-            }
-        }
-        intervals.sort_by(|a, b| a[0].partial_cmp(&b[0]).expect("angles are finite"));
-        let mut merged: Vec<[f64; 2]> = Vec::with_capacity(intervals.len());
-        for iv in intervals {
-            match merged.last_mut() {
-                Some(last) if iv[0] <= last[1] + EPS => {
-                    if iv[1] > last[1] {
-                        last[1] = iv[1];
-                    }
-                }
-                _ => merged.push(iv),
-            }
-        }
-        merged
+        self.merged().collect()
     }
 
     /// Whether the union of the arcs covers the full circle (Theorem 4
-    /// condition `⋃ [αᵢ, βᵢ] = [0, 360]`).
+    /// condition `⋃ [αᵢ, βᵢ] = [0, 360]`). A full arc is the interval
+    /// `[0, 2π]`, which absorbs every other one.
     pub fn covers_full_circle(&self) -> bool {
-        if self.arcs.iter().any(|a| a.is_full()) {
-            return true;
+        let mut merged = self.merged();
+        match (merged.next(), merged.next()) {
+            (Some(iv), None) => iv[0] <= EPS && iv[1] >= TAU - EPS,
+            _ => false,
         }
-        let merged = self.merged_intervals();
-        merged.len() == 1 && merged[0][0] <= EPS && merged[0][1] >= TAU - EPS
     }
 
     /// Whether direction `a` is covered by at least one arc.
@@ -94,7 +104,7 @@ impl ArcSet {
 
     /// Total covered measure (radians), counting overlaps once.
     pub fn covered_measure(&self) -> f64 {
-        self.merged_intervals().iter().map(|iv| iv[1] - iv[0]).sum()
+        self.merged().map(|iv| iv[1] - iv[0]).sum()
     }
 
     /// Uncovered gaps as arcs (complement of the union).
@@ -122,6 +132,31 @@ impl ArcSet {
             gaps.push(Arc::new(last[1], (TAU - last[1]) + head));
         }
         gaps
+    }
+}
+
+/// Iterator behind [`ArcSet::merged_intervals`].
+struct Merged<'a> {
+    rest: std::slice::Iter<'a, [f64; 2]>,
+    /// The interval that ended the previous merge, if any.
+    next: Option<[f64; 2]>,
+}
+
+impl Iterator for Merged<'_> {
+    type Item = [f64; 2];
+
+    fn next(&mut self) -> Option<[f64; 2]> {
+        let mut cur = self.next.take().or_else(|| self.rest.next().copied())?;
+        for &iv in self.rest.by_ref() {
+            if iv[0] > cur[1] + EPS {
+                self.next = Some(iv);
+                break;
+            }
+            if iv[1] > cur[1] {
+                cur[1] = iv[1];
+            }
+        }
+        Some(cur)
     }
 }
 

@@ -63,6 +63,8 @@ impl Contention {
     /// fast-forwarded over them, having proven the medium idle. The gap
     /// must end strictly before the access grant: the engine never
     /// skips past a station's wakeup hint, and the grant slot is hinted.
+    /// Closed form: each poll extends the idle run, and each one past
+    /// DIFS takes one slot off the backoff.
     pub fn advance_idle(&mut self, slots: u64, difs: u32) {
         if !self.active {
             return;
@@ -71,10 +73,10 @@ impl Contention {
             self.slots_to_grant(difs).is_none_or(|g| slots < g),
             "idle replay of {slots} slots crosses the access grant"
         );
-        for _ in 0..slots {
-            let granted = self.poll(false, difs);
-            debug_assert!(!granted, "idle replay must not grant access");
-        }
+        let slots = u32::try_from(slots).expect("an idle replay stops short of the grant");
+        let past_difs = slots.saturating_sub(difs.saturating_sub(self.idle_run));
+        self.idle_run += slots;
+        self.backoff -= past_difs;
     }
 
     /// Number of consecutive idle polls from here until this contention
@@ -245,17 +247,30 @@ mod tests {
     #[test]
     fn advance_idle_matches_slotwise_polling() {
         let mut r = rng();
-        for gap in 0..8 {
-            let mut a = Contention::idle();
-            a.begin(15, &mut r);
-            let mut b = a.clone();
-            a.advance_idle(gap, 4);
-            for _ in 0..gap {
-                assert!(!b.poll(false, 4));
+        for cw in [0, 15, 255, 1023] {
+            for _ in 0..20 {
+                let mut start = Contention::idle();
+                start.begin(cw, &mut r);
+                // Some starts sit part-way into DIFS, some after a busy
+                // slot reset it.
+                let warm = r.random_range(0..=6u32);
+                for i in 0..warm {
+                    assert!(!start.poll(i == 3, 4));
+                }
+                let limit = start.slots_to_grant(4).expect("active");
+                for gap in (0..limit).filter(|g| *g < 12 || g % 37 == 0 || *g + 1 == limit) {
+                    let mut a = start.clone();
+                    let mut b = start.clone();
+                    a.advance_idle(gap, 4);
+                    for _ in 0..gap {
+                        assert!(!b.poll(false, 4));
+                    }
+                    assert_eq!(a.backoff(), b.backoff(), "cw {cw}, gap {gap}");
+                    assert_eq!(a.idle_run(), b.idle_run(), "cw {cw}, gap {gap}");
+                    assert_eq!(a.is_active(), b.is_active());
+                    assert_eq!(a.slots_to_grant(4), b.slots_to_grant(4));
+                }
             }
-            assert_eq!(a.backoff(), b.backoff());
-            assert_eq!(a.idle_run(), b.idle_run());
-            assert_eq!(a.is_active(), b.is_active());
         }
     }
 

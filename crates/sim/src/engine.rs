@@ -243,7 +243,6 @@ pub struct Engine {
     outcome: SlotOutcome,
     /// Slots fast-forwarded over by [`Engine::advance_to`] (monotone).
     slots_skipped: u64,
-    /// TEMP diagnostics: on_slot dispatches, frozen skips, idle skips.
     /// Scheduled node faults (empty by default). A pure predicate of
     /// `(node, slot)`, so the fast and naive steppers agree exactly.
     faults: FaultPlan,
