@@ -37,4 +37,4 @@ pub use proto::{
     canonical_result, compute_cell, encode, run_response_lines, Request, Response, RunRequest,
     ServeCell, PROTO_VERSION,
 };
-pub use server::{ServeConfig, Server};
+pub use server::{ServeConfig, Server, MAX_LINE_BYTES};

@@ -15,7 +15,8 @@
 //! Backpressure is layered: the pool's bounded queue blocks readers
 //! once `queue_cap` jobs are waiting, which stops them draining their
 //! sockets, which fills the kernel TCP window — the client's writes
-//! stall. No unbounded buffer anywhere.
+//! stall. A request line is read only up to [`MAX_LINE_BYTES`]; a
+//! longer one gets one `Error` line and closes its connection.
 //!
 //! Graceful drain (`Shutdown` request or [`Server::begin_shutdown`]):
 //! stop accepting, refuse new engine work, finish in-flight jobs,
@@ -29,12 +30,17 @@ use rmm_fleet::{JobTicket, ServicePool};
 use rmm_mac::ProtocolKind;
 use rmm_stats::{render_registry, MetricsRegistry};
 use rmm_workload::scenario_schema_hash;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+
+/// The longest request line the server reads, newline included. A
+/// longer line gets one `Error` line and its connection is closed, so a
+/// client that never sends a newline cannot grow server memory past it.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// How a [`Server`] is configured; `Default` is a loopback server on an
 /// OS-assigned port with a memory-only cache.
@@ -254,14 +260,26 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
     let writer = std::thread::spawn(move || writer_loop(write_half, out_rx));
     let mut outstanding: Vec<JobTicket> = Vec::new();
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        let mut capped = (&mut reader).take(MAX_LINE_BYTES as u64 + 1);
+        match capped.read_until(b'\n', &mut line) {
             Ok(0) | Err(_) => break,
             Ok(_) => {}
         }
-        let trimmed = line.trim();
+        if line.len() > MAX_LINE_BYTES {
+            shared.errors.fetch_add(1, Ordering::Relaxed);
+            let _ = out_tx.send(encode(&Response::Error {
+                id: None,
+                message: format!("request line longer than {MAX_LINE_BYTES} bytes"),
+            }));
+            break;
+        }
+        let Ok(text) = std::str::from_utf8(&line) else {
+            break;
+        };
+        let trimmed = text.trim();
         if trimmed.is_empty() {
             continue;
         }

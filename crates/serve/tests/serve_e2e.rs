@@ -5,7 +5,7 @@
 
 use rmm_serve::{
     fetch_metrics, local_lines, parse_metric, request_shutdown, soak, submit_one, Request,
-    RunRequest, ServeConfig, Server, SoakSpec,
+    RunRequest, ServeConfig, Server, SoakSpec, MAX_LINE_BYTES,
 };
 use rmm_workload::{MobilityConfig, Scenario};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -159,6 +159,35 @@ fn bad_lines_and_unknown_protocols_error_without_killing_the_connection() {
         "connection stays usable after errors"
     );
     drop(reader); // close our connection so the drain can complete
+    drain(server, &addr);
+}
+
+#[test]
+fn over_long_request_lines_are_refused_and_the_server_keeps_serving() {
+    let (server, addr) = start(ServeConfig::default());
+    let stream = TcpStream::connect(&addr).unwrap();
+    // Twice the cap with no newline. The server stops reading at the
+    // cap and closes the connection, so the tail of the flood may never
+    // be accepted: it is written from a thread that stops at the first
+    // write error.
+    let mut flood = stream.try_clone().unwrap();
+    let flooder = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 64 * 1024];
+        for _ in 0..2 * MAX_LINE_BYTES / chunk.len() {
+            if flood.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+    });
+    let mut line = String::new();
+    BufReader::new(stream).read_line(&mut line).unwrap();
+    assert!(
+        line.contains("\"Error\"") && line.contains("longer than"),
+        "expected a line-length error, got {line:?}"
+    );
+    flooder.join().unwrap();
+    let req = run_req(4, "bmw", 2, false);
+    assert_eq!(submit_one(&addr, &req).unwrap(), local_lines(&req).unwrap());
     drain(server, &addr);
 }
 

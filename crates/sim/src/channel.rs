@@ -32,7 +32,8 @@
 //!   inline, so the hot scans never chase the record slab,
 //! * **per-station carrier watermarks** (`air_until`) raised at launch
 //!   over the sender and its neighborhood, so carrier sense
-//!   ([`Channel::busy_prev_slot`]) and global airtime occupancy
+//!   ([`Channel::busy_prev_slot`], or [`Channel::busy_mask`] for the
+//!   selected stations of a 64-station word) and global airtime occupancy
 //!   ([`Channel::any_active`]) are O(1) comparisons instead of bitset
 //!   ring maintenance. The watermarks are exact for the engine's query
 //!   pattern — all of a slot's carrier-sense reads happen before that
@@ -575,6 +576,27 @@ impl Channel {
         now > 0 && self.air_until.get(node.index()).is_some_and(|&w| w >= now)
     }
 
+    /// [`Channel::busy_prev_slot`] for the stations of one 64-station
+    /// word that `of` selects: bit `b` is set iff bit `b` of `of` is,
+    /// station `64 * word + b` exists, and its medium was busy during
+    /// slot `now - 1`. Every bit is clear at `now == 0`, at quiescent
+    /// slots and before the first launch binds the channel. Only the set
+    /// bits of `of` are read, so a sparse selection costs what it holds.
+    /// Same exactness condition as the per-station query.
+    pub fn busy_mask(&self, word: usize, mut of: u64, now: Slot) -> u64 {
+        if now == 0 || self.quiescent_at(now) {
+            return 0;
+        }
+        let watermarks = self.air_until.get(word * 64..).unwrap_or_default();
+        let mut busy = 0;
+        while of != 0 {
+            let b = of.trailing_zeros();
+            of &= of - 1;
+            busy |= u64::from(watermarks.get(b as usize).is_some_and(|&w| w >= now)) << b;
+        }
+        busy
+    }
+
     /// Whether `node` has a frame of its own on the air at slot `now`.
     /// Served from the per-sender on-air list — O(frames `node` has
     /// retained), not O(all transmissions).
@@ -676,12 +698,21 @@ impl Channel {
                 &self.ledger,
                 "airtime ledgers diverged at slot {now}"
             );
+            let busy_words: Vec<u64> = (0..topo.len().div_ceil(64))
+                .map(|w| self.busy_mask(w, u64::MAX, now))
+                .collect();
             for i in 0..topo.len() {
                 let n = NodeId(i as u32);
+                let busy = shadow.busy_prev_slot(n, now, topo);
                 assert_eq!(
-                    shadow.busy_prev_slot(n, now, topo),
+                    busy,
                     self.busy_prev_slot(n, now, topo),
                     "carrier sense diverged at node {n} slot {now}"
+                );
+                assert_eq!(
+                    busy,
+                    busy_words[i / 64] >> (i % 64) & 1 != 0,
+                    "busy mask diverged at node {n} slot {now}"
                 );
                 assert_eq!(
                     shadow.is_transmitting(n, now),

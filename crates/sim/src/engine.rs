@@ -18,7 +18,7 @@
 //! The per-station state the engine consults every slot lives in
 //! contiguous struct-of-arrays form: reception/fault/sensitivity flags
 //! are word-packed bitsets, wakeup hints and deadlines are flat `Slot`
-//! arrays, and carrier sense is an O(1) watermark compare served by the
+//! arrays, and carrier sense is a watermark compare served by the
 //! channel. On the event-horizon path ([`Engine::advance_to`]) these
 //! arrays form a dispatch filter: a station's `on_slot` runs only when
 //! it received a frame, its busy medium can change it (carrier-sensitive
@@ -30,6 +30,14 @@
 //! the engine records the skipped busy prefix in
 //! [`Ctx::frozen_through`] so the station replays the freeze exactly at
 //! its next dispatch.
+//!
+//! The filter runs one 64-station word at a time. Per word it builds
+//! three masks — busy ([`Channel::busy_mask`]), wakeup due and deadline
+//! due — each reading only the stations whose bit can change the
+//! decision: the carrier-sensitive ones, the ones with a wakeup hint at
+//! all, and the frozen-skip candidates. The skip predicate is then word
+//! arithmetic, and the surviving bits run in ascending station order,
+//! so launch order and every RNG draw match a per-station loop.
 
 use crate::capture::Capture;
 use crate::channel::{Channel, SlotOutcome};
@@ -46,6 +54,28 @@ use std::time::Instant;
 #[inline]
 fn bit(words: &[u64], i: usize) -> bool {
     words[i >> 6] & (1 << (i & 63)) != 0
+}
+
+/// The indices of the set bits of `word`, ascending.
+#[inline]
+fn ones(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            b
+        })
+    })
+}
+
+/// The bits of `of` whose slot is due (at or before `now`), where bit
+/// `b` stands for `slots[b]` of one 64-station word. Only the set bits
+/// of `of` are read, so a sparse selection costs what it holds.
+#[inline]
+fn due_bits(slots: &[Slot], of: u64, now: Slot) -> u64 {
+    ones(of)
+        .filter(|&b| slots[b] <= now)
+        .fold(0, |due, b| due | 1 << b)
 }
 
 #[inline]
@@ -182,6 +212,8 @@ pub trait Station {
 }
 
 /// How [`Engine::step_inner`] selects stations for the `on_slot` phase.
+/// All three modes share one loop over 64-station words; they differ
+/// only in the word's run mask.
 #[derive(Clone, Copy, PartialEq)]
 enum Dispatch {
     /// Every station, no hint bookkeeping (the naive reference stepper).
@@ -190,7 +222,8 @@ enum Dispatch {
     /// re-seeds the event-horizon state after it was invalidated.
     FullRefresh,
     /// Only stations that received a frame, sensed a newly busy medium,
-    /// or whose hinted wakeup slot arrived; hints refreshed as they run.
+    /// or whose hinted wakeup slot arrived, found by word masks; hints
+    /// refreshed as they run.
     Selective,
 }
 
@@ -231,6 +264,11 @@ pub struct Engine {
     /// stays exact until then because skipped slots are exactly the ones
     /// naive stepping could not have changed the station in.
     wake_at: Vec<Slot>,
+    /// Stations whose `wake_at` may be finite (word-packed, refreshed
+    /// with the hints): a clear bit means `Slot::MAX`. Idle stations
+    /// have no hint, so the due test reads only the slots that can fall
+    /// due.
+    hinted: Vec<u64>,
     /// Scratch: per-station fault masks for the current slot
     /// (word-packed rx-blocked / tx-blocked bits).
     rx_blocked: Vec<u64>,
@@ -279,7 +317,8 @@ impl Engine {
             gap_idle: vec![0; n_words],
             frozen_through: vec![0; n],
             deadline_at: vec![Slot::MAX; n],
-            wake_at: vec![0; n],
+            wake_at: vec![Slot::MAX; n],
+            hinted: vec![0; n_words],
             rx_blocked: vec![0; n_words],
             tx_blocked: vec![0; n_words],
             hints_valid: false,
@@ -454,6 +493,7 @@ impl Engine {
     /// skip the station's next `on_slot`.
     pub fn wake(&mut self, node: NodeId) {
         self.wake_at[node.index()] = self.now;
+        set_bit(&mut self.hinted, node.index());
         // The perturbation may have changed the station arbitrarily: a
         // stale frozen-contender flag must not keep its next `on_slot`
         // suppressed while its medium is busy. Dispatching refreshes
@@ -489,6 +529,7 @@ impl Engine {
                 // A cold reset reschedules the station arbitrarily, and
                 // the pre-reset dispatch flags no longer describe it.
                 self.wake_at[i] = now;
+                set_bit(&mut self.hinted, i);
                 assign_bit(&mut self.sensitive, i, stations[i].carrier_sensitive());
                 assign_bit(&mut self.freezable, i, stations[i].busy_freezes());
                 assign_bit(&mut self.gap_idle, i, false);
@@ -555,56 +596,66 @@ impl Engine {
         }
         self.lap(&mut mark, Phase::Deliver);
 
-        // Phase 2: per-slot decisions. The selective mode runs exactly
-        // the stations naive stepping could observably have changed this
-        // slot: a delivered frame, a busy medium at a carrier-sensitive
-        // station (unless busy is a pure freeze for it and no deadline
-        // fell due), or the station's own hinted wakeup.
-        for (i, station) in stations.iter_mut().enumerate() {
-            let node = NodeId(i as u32);
-            let busy = self.channel.busy_prev_slot(node, now, &self.topo);
-            if dispatch == Dispatch::Selective && !bit(&self.received, i) {
-                let skip = if bit(&self.sensitive, i) && busy {
-                    // A frozen contender sleeps through busy slots —
-                    // but never through a deadline, and never after an
-                    // idle-medium skip in the same gap (its backoff may
-                    // have counted down there, and a naive step would
-                    // bank that idle run before freezing).
-                    bit(&self.freezable, i) && !bit(&self.gap_idle, i) && self.deadline_at[i] > now
-                } else {
-                    self.wake_at[i] > now
-                };
-                if skip {
-                    if bit(&self.sensitive, i) && busy {
-                        self.frozen_through[i] = now;
-                    } else if bit(&self.sensitive, i) && bit(&self.freezable, i) {
-                        set_bit(&mut self.gap_idle, i);
-                    }
-                    continue;
+        // Phase 2: per-slot decisions, one 64-station word at a time.
+        // The selective mode runs exactly the stations naive stepping
+        // could observably have changed this slot: a delivered frame, a
+        // busy medium at a carrier-sensitive station (unless busy is a
+        // pure freeze for it and no deadline fell due), or the station's
+        // own hinted wakeup. Running a station changes only its own bits
+        // and slots, so a word's masks are built once, before any of its
+        // stations runs, and the survivors run in ascending order.
+        let n = stations.len();
+        for w in 0..n.div_ceil(64) {
+            let lo = w * 64;
+            let hi = n.min(lo + 64);
+            let mut run = u64::MAX >> (64 - (hi - lo));
+            let busy = if dispatch == Dispatch::Selective {
+                let (received, sensitive) = (self.received[w], self.sensitive[w]);
+                let sb = self.channel.busy_mask(w, sensitive, now);
+                // A frozen contender sleeps through busy slots — but
+                // never through a deadline, and never after an
+                // idle-medium skip in the same gap (its backoff may have
+                // counted down there, and a naive step would bank that
+                // idle run before freezing).
+                let frozen = !received & sb & self.freezable[w] & !self.gap_idle[w];
+                let frozen = frozen & !due_bits(&self.deadline_at[lo..hi], frozen, now);
+                let idle = !received & !sb & run;
+                let idle = idle & !due_bits(&self.wake_at[lo..hi], idle & self.hinted[w], now);
+                for b in ones(frozen) {
+                    self.frozen_through[lo + b] = now;
                 }
-            }
-            let mut ctx = Ctx {
-                now,
-                node,
-                busy,
-                frozen_through: self.frozen_through[i],
-                out: &mut self.outbox,
-                sink: self.trace.as_mut().map(|t| t as &mut dyn EventSink),
+                self.gap_idle[w] |= idle & sensitive & self.freezable[w];
+                run &= !(frozen | idle);
+                sb | self.channel.busy_mask(w, run & !sensitive, now)
+            } else {
+                self.channel.busy_mask(w, run, now)
             };
-            station.on_slot(&mut ctx);
-            if dispatch != Dispatch::Full {
-                self.wake_at[i] = station.next_wakeup(now).unwrap_or(Slot::MAX);
-                self.deadline_at[i] = station
-                    .next_deadline()
-                    .map_or(Slot::MAX, |d| d.max(now + 1));
-                assign_bit(&mut self.sensitive, i, station.carrier_sensitive());
-                assign_bit(&mut self.freezable, i, station.busy_freezes());
+            self.received[w] = 0;
+            for b in ones(run) {
+                let i = lo + b;
+                let station = &mut stations[i];
+                let mut ctx = Ctx {
+                    now,
+                    node: NodeId(i as u32),
+                    busy: busy >> b & 1 != 0,
+                    frozen_through: self.frozen_through[i],
+                    out: &mut self.outbox,
+                    sink: self.trace.as_mut().map(|t| t as &mut dyn EventSink),
+                };
+                station.on_slot(&mut ctx);
+                if dispatch != Dispatch::Full {
+                    let wake = station.next_wakeup(now);
+                    self.wake_at[i] = wake.unwrap_or(Slot::MAX);
+                    assign_bit(&mut self.hinted, i, wake.is_some());
+                    self.deadline_at[i] = station
+                        .next_deadline()
+                        .map_or(Slot::MAX, |d| d.max(now + 1));
+                    assign_bit(&mut self.sensitive, i, station.carrier_sensitive());
+                    assign_bit(&mut self.freezable, i, station.busy_freezes());
+                }
+                self.frozen_through[i] = 0;
+                assign_bit(&mut self.gap_idle, i, false);
             }
-            self.frozen_through[i] = 0;
-            assign_bit(&mut self.gap_idle, i, false);
-        }
-        for w in &mut self.received {
-            *w = 0;
         }
         self.lap(&mut mark, Phase::FsmDispatch);
 
@@ -677,9 +728,11 @@ impl Engine {
             }
             // The hint array is exact (each entry was computed the last
             // time its station ran, and skipped slots cannot change a
-            // station), so the horizon is just the array minimum.
-            for &wake in &self.wake_at {
-                horizon = horizon.min(wake.max(self.now));
+            // station), so the horizon is just its minimum over the
+            // hinted stations.
+            let hinted = self.hinted.iter().enumerate();
+            for i in hinted.flat_map(|(w, &word)| ones(word).map(move |b| 64 * w + b)) {
+                horizon = horizon.min(self.wake_at[i].max(self.now));
                 if horizon == self.now {
                     break;
                 }

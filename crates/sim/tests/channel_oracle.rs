@@ -2,8 +2,9 @@
 //! and launch schedules driven through both [`Channel`] (incremental
 //! interference bookkeeping) and [`ReferenceChannel`] (naive full
 //! rescan) with cloned RNG streams, asserting every observable agrees
-//! slot by slot — outcomes, RNG position, carrier sense, half-duplex
-//! state, occupancy, and the airtime ledger.
+//! slot by slot — outcomes, RNG position, carrier sense (per station and
+//! as the engine's 64-station busy masks), half-duplex state, occupancy,
+//! and the airtime ledger.
 //!
 //! The driver follows the engine's phase order (resolve and all busy
 //! queries for a slot before that slot's launches, prune last): the
@@ -12,10 +13,95 @@
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rmm_geom::Point;
 use rmm_sim::channel::reference::ReferenceChannel;
-use rmm_sim::{Capture, Channel, Dest, Frame, FrameKind, MsgId, NodeId, Topology};
+use rmm_sim::{Capture, Channel, Dest, Frame, FrameKind, MsgId, NodeId, Slot, Topology};
+
+/// Every bit of every busy-mask word against the reference's
+/// per-station carrier sense, whole words and single-station
+/// selections alike; bits past the last station must be clear. Returns
+/// the number of busy stations.
+fn assert_busy_masks(fast: &Channel, naive: &ReferenceChannel, topo: &Topology, now: Slot) -> u32 {
+    let n = topo.len();
+    let mut busy = 0;
+    for w in 0..n.div_ceil(64) + 1 {
+        let mask = fast.busy_mask(w, u64::MAX, now);
+        busy += mask.count_ones();
+        for b in 0..64 {
+            let i = 64 * w + b;
+            let want = i < n && naive.busy_prev_slot(NodeId(i as u32), now, topo);
+            assert_eq!(mask >> b & 1 != 0, want, "busy mask bit {i} at slot {now}");
+            assert_eq!(fast.busy_mask(w, 1 << b, now), u64::from(want) << b);
+        }
+    }
+    busy
+}
+
+/// One random launch at `now` from a station with nothing on the air,
+/// mirrored into both channels.
+fn launch(
+    fast: &mut Channel,
+    naive: &mut ReferenceChannel,
+    topo: &Topology,
+    now: Slot,
+    rng: &mut SmallRng,
+) {
+    let src = NodeId(rng.random_range(0..topo.len() as u32));
+    if fast.is_transmitting(src, now) {
+        return;
+    }
+    let msg = MsgId::new(src, now as u32);
+    let frame = Frame::data(
+        src,
+        Dest::Node(NodeId(0)),
+        0,
+        msg,
+        rng.random_range(1..6u32),
+    );
+    fast.begin_tx(frame.clone(), now, topo);
+    naive.begin_tx(frame, now);
+}
+
+/// The busy masks on multi-word networks: the empty channel before
+/// the first launch binds it, partial last words, and the watermarks
+/// rebuilt by `retune` after every station moved.
+#[test]
+fn busy_masks_match_the_reference_across_words_and_retunes() {
+    for n in [1usize, 63, 64, 65, 129] {
+        let mut rng = SmallRng::seed_from_u64(n as u64);
+        let place = |rng: &mut SmallRng| {
+            let pts = (0..n)
+                .map(|_| Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)))
+                .collect();
+            Topology::new(pts, 0.3)
+        };
+        let mut topo = place(&mut rng);
+        let mut fast = Channel::new(Capture::None);
+        let mut naive = ReferenceChannel::new(Capture::None);
+        let (mut rng_fast, mut rng_naive) =
+            (SmallRng::seed_from_u64(1), SmallRng::seed_from_u64(1));
+        let mut busy = [0; 2];
+        for now in 0..120 {
+            if now == 60 {
+                topo = place(&mut rng);
+                fast.retune(&topo, now);
+            }
+            fast.resolve_ended(now, &topo, &mut rng_fast);
+            naive.resolve_ended(now, &topo, &mut rng_naive);
+            busy[usize::from(now >= 60)] += assert_busy_masks(&fast, &naive, &topo, now);
+            if (10..100).contains(&now) && rng.random_bool(0.4) {
+                launch(&mut fast, &mut naive, &topo, now, &mut rng);
+            }
+            fast.prune(now, &topo);
+            naive.prune(now);
+        }
+        assert!(
+            busy[0] > 0 && busy[1] > 0,
+            "n={n}: the medium was never busy"
+        );
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -68,6 +154,7 @@ proptest! {
                 naive.any_active(now),
                 "occupancy diverged at slot {}", now
             );
+            assert_busy_masks(&fast, &naive, &topo, now);
 
             for &(t, src_sel, kind_sel, dur) in &schedule {
                 if t != now {

@@ -2,7 +2,7 @@
 //! unicast / multicast / broadcast mix.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use rmm_mac::TrafficKind;
 use rmm_sim::{NodeId, Slot, Topology};
 use serde::{Deserialize, Serialize};
@@ -55,9 +55,17 @@ impl TrafficMix {
 /// * broadcast → all neighbors.
 ///
 /// Stations with no neighbors generate no traffic.
+///
+/// The per-station draw is an integer compare. A uniform `f64` sample
+/// is `k · 2⁻⁵³` with `k = next_u64() >> 11 < 2⁵³`, and both the
+/// product and `rate · 2⁵³` are exact, so `k · 2⁻⁵³ < rate` holds iff
+/// `k < ⌈rate · 2⁵³⌉` — for every rate in `[0, 1]`, ends included. The
+/// generator therefore consumes and decides exactly as the float
+/// compare `random::<f64>() < rate` would, draw for draw.
 #[derive(Debug)]
 pub struct TrafficGen {
-    rate: f64,
+    /// `⌈rate · 2⁵³⌉`: a station fires iff its 53-bit draw is below it.
+    threshold: u64,
     mix: TrafficMix,
     rng: SmallRng,
 }
@@ -78,7 +86,7 @@ impl TrafficGen {
     pub fn new(rate: f64, mix: TrafficMix, seed: u64) -> Self {
         assert!((0.0..=1.0).contains(&rate));
         TrafficGen {
-            rate,
+            threshold: (rate * (1u64 << 53) as f64).ceil() as u64,
             mix,
             rng: SmallRng::seed_from_u64(seed ^ 0xa5a5_5a5a_dead_beef),
         }
@@ -87,8 +95,11 @@ impl TrafficGen {
     /// Generates this slot's arrivals across all stations.
     pub fn tick(&mut self, topo: &Topology, _now: Slot, out: &mut Vec<Arrival>) {
         out.clear();
+        // A local copy of the generator stays in registers across the
+        // miss scan; it is written back once per slot.
+        let mut rng = self.rng.clone();
         for i in 0..topo.len() {
-            if self.rng.random::<f64>() >= self.rate {
+            if rng.next_u64() >> 11 >= self.threshold {
                 continue;
             }
             let node = NodeId(i as u32);
@@ -96,18 +107,18 @@ impl TrafficGen {
             if neighbors.is_empty() {
                 continue;
             }
-            let kind = self.mix.draw(&mut self.rng);
+            let kind = self.mix.draw(&mut rng);
             let receivers = match kind {
                 TrafficKind::Unicast => {
-                    vec![neighbors[self.rng.random_range(0..neighbors.len())]]
+                    vec![neighbors[rng.random_range(0..neighbors.len())]]
                 }
                 TrafficKind::Broadcast => neighbors.to_vec(),
                 TrafficKind::Multicast => {
-                    let size = self.rng.random_range(1..=neighbors.len());
+                    let size = rng.random_range(1..=neighbors.len());
                     // Partial Fisher–Yates over a scratch copy.
                     let mut pool = neighbors.to_vec();
                     for j in 0..size {
-                        let k = self.rng.random_range(j..pool.len());
+                        let k = rng.random_range(j..pool.len());
                         pool.swap(j, k);
                     }
                     pool.truncate(size);
@@ -120,6 +131,7 @@ impl TrafficGen {
                 receivers,
             });
         }
+        self.rng = rng;
     }
 }
 
@@ -217,6 +229,21 @@ mod tests {
             }
         }
         assert!(seen_unicast && seen_broadcast);
+    }
+
+    /// At the draws either side of the threshold, the integer compare
+    /// decides as the float compare on the same draw: rates the stream
+    /// would take ~2⁵³ draws to probe are checked at their boundary.
+    #[test]
+    fn threshold_decides_as_the_float_compare() {
+        let unit = 2f64.powi(-53);
+        for rate in [0.0, unit, 3.0 * unit, 5e-5, 5e-4, 0.1, 0.5, 1.0 - unit, 1.0] {
+            let t = TrafficGen::new(rate, TrafficMix::default(), 0).threshold;
+            for k in [t.saturating_sub(1), t, t + 1] {
+                let k = k.min((1 << 53) - 1);
+                assert_eq!(k < t, (k as f64 * unit) < rate, "rate {rate:e} draw {k}");
+            }
+        }
     }
 
     #[test]

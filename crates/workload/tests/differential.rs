@@ -416,6 +416,94 @@ fn mobile_runs_trace_profile_and_honour_position_noise() {
     );
 }
 
+/// Station counts that put the engine's 64-station dispatch words on
+/// either side of every boundary: a lone station, one word exactly, one
+/// station short of and one past a word, two words plus one, and the
+/// 400-station floor.
+const WORD_EDGES: [usize; 6] = [1, 63, 64, 65, 129, 400];
+
+/// A scenario at constant mean degree (the paper's 100 stations at
+/// r = 0.2), so the larger counts stay as sparse as the benchmark floor.
+fn at_word_edge(n: usize) -> Scenario {
+    Scenario {
+        n_nodes: n,
+        radius: (0.2 * (100.0 / n as f64).sqrt()).min(1.5),
+        sim_slots: 1_200,
+        n_runs: 1,
+        msg_rate: 1e-3,
+        ..Scenario::default()
+    }
+}
+
+/// Asserts `run_one == run_one_naive` byte for byte; returns the number
+/// of messages the run generated.
+fn assert_fast_matches_naive(
+    scenario: &Scenario,
+    protocol: ProtocolKind,
+    seed: u64,
+    label: &str,
+) -> usize {
+    let fast = run_one(scenario, protocol, seed);
+    let naive = run_one_naive(scenario, protocol, seed);
+    let messages = fast.messages.len();
+    assert_eq!(
+        canonical(fast),
+        canonical(naive),
+        "[{label}] {protocol:?} n={} seed {seed}: RunResult diverged",
+        scenario.n_nodes
+    );
+    messages
+}
+
+/// The selective dispatcher walks stations one 64-bit word at a time;
+/// partial last words, a word boundary inside a neighbourhood and a
+/// fault, reboot or churn event on a boundary station must not change
+/// a single bit against naive stepping.
+#[test]
+fn fast_stepping_is_bit_exact_across_word_boundaries() {
+    for n in WORD_EDGES {
+        for protocol in ALL_PROTOCOLS {
+            let messages = assert_fast_matches_naive(&at_word_edge(n), protocol, 71, "words");
+            assert!(n == 1 || messages > 0, "{protocol:?} n={n}: no traffic");
+        }
+    }
+    for n in [65, 129] {
+        let last = NodeId(n as u32 - 1);
+        let chaos = Scenario {
+            timing: rmm_mac::MacTiming {
+                timeout: 300,
+                ..Default::default()
+            },
+            ..at_word_edge(n)
+        }
+        .with_faults(
+            FaultPlan::new()
+                .reboot(NodeId(63), 200, 700)
+                .reboot(NodeId(64), 400, 900)
+                .crash(last, 600)
+                .deaf(NodeId(0), 100, 500),
+        )
+        .with_churn(
+            ChurnPlan::new()
+                .leave(NodeId(62), 300)
+                .join(NodeId(62), 800)
+                .leave(last, 500),
+        )
+        .with_stall_window(400);
+        let mobile = at_word_edge(n).with_mobility(MobilityConfig {
+            speed_min: 0.0,
+            speed_max: 5e-4,
+            update_period: 50,
+            beacon_period: 200,
+        });
+        for protocol in ALL_PROTOCOLS {
+            let chaotic = assert_fast_matches_naive(&chaos, protocol, 72, "words+chaos");
+            let moving = assert_fast_matches_naive(&mobile, protocol, 73, "words+mobility");
+            assert!(chaotic > 0 && moving > 0, "{protocol:?} n={n}: no traffic");
+        }
+    }
+}
+
 /// One golden cell on the fast path: the result, the trace and every
 /// sender's records. The golden digests predate traced mobile runs, so
 /// mobility cells pin the result alone.
