@@ -50,6 +50,16 @@ impl JobTicket {
     pub fn is_cancelled(&self) -> bool {
         self.flag.0.load(Ordering::Acquire)
     }
+
+    /// Whether the pool is done with the job: a worker claimed it (so
+    /// it ran or is running), or it was cancelled and dropped from the
+    /// queue. The queue holds the only other reference to the flag and
+    /// drops it then, so a settled ticket's `cancel` can change nothing
+    /// and the ticket can be dropped. A live clone of the ticket holds
+    /// the flag too and keeps this `false`.
+    pub fn is_settled(&self) -> bool {
+        Arc::strong_count(&self.flag) == 1
+    }
 }
 
 struct QueueState {
@@ -325,6 +335,30 @@ mod tests {
         assert_eq!(pool.executed(), 1 + 3, "gate + survivors");
         assert_eq!(pool.cancelled(), 2);
         pool.shutdown();
+    }
+
+    #[test]
+    fn tickets_settle_once_the_pool_lets_go_of_their_jobs() {
+        let pool = ServicePool::with_capacity(1, 64);
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        // A failed assert drops `gate_tx`; the gate then opens instead
+        // of killing the worker, so the pool's drop cannot hang.
+        let gate = pool.submit(move || {
+            let _ = gate_rx.recv();
+        });
+        let ran = pool.submit(|| {});
+        let skimmed = pool.submit(|| {});
+        let last = pool.submit(|| {});
+        assert!(!ran.is_settled() && !skimmed.is_settled(), "still queued");
+        skimmed.cancel();
+        assert!(!skimmed.is_settled(), "cancelled but not yet skimmed");
+        gate_tx.send(()).unwrap();
+        pool.wait_idle();
+        assert!(gate.is_settled() && ran.is_settled() && last.is_settled());
+        assert!(skimmed.is_settled(), "skimmed off the queue");
+        assert_eq!((pool.executed(), pool.cancelled()), (3, 1));
+        pool.shutdown();
+        assert!(pool.submit(|| {}).is_settled(), "ran inline after shutdown");
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //!
 //! 1. **Serving** — a TCP daemon ([`Server`]) accepts JSONL requests,
 //!    schedules engine work on a resident worker pool
-//!    ([`rmm_fleet::ServicePool`]), and streams progress, trace events,
-//!    and results back live, interleaved per connection.
+//!    ([`rmm_fleet::ServicePool`]), and answers each request once its
+//!    cell is complete: a `Started` line, the trace events and profile
+//!    it asked for, and the result, written together. Responses to
+//!    different requests on one connection interleave in completion
+//!    order.
 //! 2. **Memoizing** — completed cells land in a content-addressed
 //!    cache ([`CacheStore`]) keyed by a hash of exactly the inputs that
 //!    determine the output. A repeated sweep is answered entirely from
@@ -34,7 +37,7 @@ pub use client::{
     SoakReport, SoakSpec,
 };
 pub use proto::{
-    canonical_result, compute_cell, encode, run_response_lines, Request, Response, RunRequest,
-    ServeCell, PROTO_VERSION,
+    canonical_result, compute_cell, encode, run_response_lines, CellBytes, Request, Response,
+    RunRequest, ServeCell, PROTO_VERSION,
 };
 pub use server::{ServeConfig, Server, MAX_LINE_BYTES};

@@ -8,7 +8,7 @@
 //! {"Run":{"id":1,"protocol":"bmmm","scenario":{...},"seed":7,"trace":true,"profile":false}}
 //! ```
 //!
-//! and the server answers with a `Started` line, the streamed
+//! and the server answers with a `Started` line, the
 //! `Event`/`Profile` lines the request asked for, and a final `Result`
 //! (or `Error`) line carrying the same `id`. Responses to different
 //! in-flight requests on one connection may interleave; the lines for
@@ -167,11 +167,163 @@ pub fn compute_cell(
     }
 }
 
+/// A served cell in serialized form: the `result` JSON, the event JSONs
+/// packed back to back in one buffer with their end offsets, and the
+/// profile JSON. Every response line of the cell and its cache manifest
+/// line are spliced from these pieces, so a cache hit serializes
+/// nothing and a cold run serializes its cell once.
+///
+/// The compact JSON writer is compositional (a value nested in an
+/// object is written exactly as it is written alone), so the splices
+/// equal their serde twins byte for byte: [`CellBytes::render`] equals
+/// [`run_response_lines`] and [`CellBytes::cell_json`] equals
+/// `serde_json::to_string(&cell)`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CellBytes {
+    result: String,
+    events: String,
+    /// End offset in `events` of each event; `None` for an untraced
+    /// cell (which differs from a traced cell with no events).
+    event_ends: Option<Vec<usize>>,
+    profile: Option<String>,
+}
+
+// The framing of each response line around its id and its body:
+// `head`, id, `mid`, body, `LINE_END`.
+const STARTED: (&str, &str) = ("{\"Started\":{\"id\":", "");
+const EVENT: (&str, &str) = ("{\"Event\":{\"id\":", ",\"event\":");
+const PROFILE: (&str, &str) = ("{\"Profile\":{\"id\":", ",\"profile\":");
+const RESULT: [(&str, &str); 2] = [
+    ("{\"Result\":{\"id\":", ",\"cached\":false,\"result\":"),
+    ("{\"Result\":{\"id\":", ",\"cached\":true,\"result\":"),
+];
+const LINE_END: &str = "}}\n";
+
+fn json<T: Serialize>(value: &T) -> String {
+    serde_json::to_string(value).expect("cell serializes")
+}
+
+impl CellBytes {
+    /// Serializes a cell into its pieces.
+    pub fn of(cell: &ServeCell) -> CellBytes {
+        let (mut events, mut event_ends) = (String::new(), None);
+        if let Some(trace) = &cell.trace {
+            let mut ends = Vec::with_capacity(trace.len());
+            for event in trace {
+                events.push_str(&json(event));
+                ends.push(events.len());
+            }
+            events.shrink_to_fit();
+            event_ends = Some(ends);
+        }
+        CellBytes {
+            result: json(&cell.result),
+            events,
+            event_ends,
+            profile: cell.profile.as_ref().map(json),
+        }
+    }
+
+    /// Parses a stored cell JSON (a cache manifest entry) into pieces.
+    pub fn parse(cell_json: &str) -> Result<CellBytes, serde_json::Error> {
+        serde_json::from_str(cell_json).map(|cell| CellBytes::of(&cell))
+    }
+
+    /// Parses the pieces back into a cell.
+    pub fn to_cell(&self) -> Result<ServeCell, serde_json::Error> {
+        let trace = self.event_ends.as_ref();
+        let trace = trace.map(|_| self.events().map(serde_json::from_str).collect());
+        let profile = self.profile.as_deref().map(serde_json::from_str);
+        Ok(ServeCell {
+            result: serde_json::from_str(&self.result)?,
+            trace: trace.transpose()?,
+            profile: profile.transpose()?,
+        })
+    }
+
+    /// The event JSONs in order.
+    fn events(&self) -> impl Iterator<Item = &str> {
+        let ends = self.event_ends.as_deref().unwrap_or_default();
+        let starts = std::iter::once(0).chain(ends.iter().copied());
+        starts
+            .zip(ends)
+            .map(|(start, &end)| &self.events[start..end])
+    }
+
+    fn event_count(&self) -> usize {
+        self.event_ends.as_ref().map_or(0, Vec::len)
+    }
+
+    /// The cell's JSON as the cache manifest stores it, spliced from the
+    /// pieces: byte-identical to `serde_json::to_string(&cell)`.
+    pub fn cell_json(&self) -> String {
+        let profile = self.profile.as_deref().unwrap_or("null");
+        let len = self.result.len() + self.events.len() + self.event_count() + profile.len() + 40;
+        let mut out = String::with_capacity(len);
+        out.push_str("{\"result\":");
+        out.push_str(&self.result);
+        out.push_str(",\"trace\":");
+        if self.event_ends.is_some() {
+            out.push('[');
+            for (i, event) in self.events().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(event);
+            }
+            out.push(']');
+        } else {
+            out.push_str("null");
+        }
+        out.push_str(",\"profile\":");
+        out.push_str(profile);
+        out.push('}');
+        out
+    }
+
+    /// Renders every response line of the cell for request `id`, each
+    /// ending in a newline: the lines of [`run_response_lines`], spliced
+    /// into one buffer without serializing anything.
+    pub fn render(&self, id: u64, cached: bool) -> String {
+        let id = id.to_string();
+        let result = RESULT[usize::from(cached)];
+        let framing =
+            |(head, mid): (&str, &str)| head.len() + id.len() + mid.len() + LINE_END.len();
+        let len = framing(STARTED)
+            + self.event_count() * framing(EVENT)
+            + self.events.len()
+            + self
+                .profile
+                .as_ref()
+                .map_or(0, |p| framing(PROFILE) + p.len())
+            + framing(result)
+            + self.result.len();
+        let mut out = String::with_capacity(len);
+        let mut line = |(head, mid): (&str, &str), body: &str| {
+            out.push_str(head);
+            out.push_str(&id);
+            out.push_str(mid);
+            out.push_str(body);
+            out.push_str(LINE_END);
+        };
+        line(STARTED, "");
+        for event in self.events() {
+            line(EVENT, event);
+        }
+        if let Some(profile) = &self.profile {
+            line(PROFILE, profile);
+        }
+        line(result, &self.result);
+        debug_assert_eq!(out.len(), len);
+        out
+    }
+}
+
 /// Renders the full response-line sequence for one served cell:
 /// `Started`, the `Event` stream, the `Profile` report, and the
-/// terminal `Result`. The server streams exactly these lines and the
-/// client oracle recomputes exactly these lines, so byte-identity is by
-/// construction.
+/// terminal `Result`. This is the serde twin of [`CellBytes::render`],
+/// which the server writes: the client oracle recomputes exactly these
+/// lines, and the splice is tested against them byte for byte.
 pub fn run_response_lines(id: u64, cell: &ServeCell, cached: bool) -> Vec<String> {
     let mut lines = Vec::with_capacity(2 + cell.trace.as_ref().map_or(0, Vec::len));
     lines.push(encode(&Response::Started { id }));
@@ -260,6 +412,56 @@ mod tests {
         assert_eq!(
             serde_json::to_string(&cell.result).unwrap(),
             serde_json::to_string(&canonical_result(result)).unwrap()
+        );
+    }
+
+    #[test]
+    fn spliced_lines_match_the_serde_twin() {
+        let s = tiny();
+        for protocol in ProtocolKind::EVERY {
+            for (trace, profile) in [(false, false), (true, false), (false, true), (true, true)] {
+                let cell = compute_cell(&s, protocol, 2, trace, profile);
+                let bytes = CellBytes::of(&cell);
+                let what = format!("{} trace={trace} profile={profile}", protocol.name());
+                let json = serde_json::to_string(&cell).unwrap();
+                assert_eq!(bytes.cell_json(), json, "{what}: stored cell JSON");
+                assert_eq!(CellBytes::parse(&json).unwrap(), bytes, "{what}: parse");
+                let back = bytes.to_cell().unwrap();
+                assert_eq!(
+                    serde_json::to_string(&back).unwrap(),
+                    json,
+                    "{what}: to_cell"
+                );
+                for id in [0, 1, u64::MAX] {
+                    for cached in [false, true] {
+                        let want: String = run_response_lines(id, &cell, cached)
+                            .iter()
+                            .map(|line| format!("{line}\n"))
+                            .collect();
+                        assert_eq!(
+                            bytes.render(id, cached),
+                            want,
+                            "{what} id={id} cached={cached}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_trace_is_not_an_absent_one() {
+        let mut cell = compute_cell(&tiny(), ProtocolKind::Bmw, 1, false, false);
+        cell.trace = Some(Vec::new());
+        let bytes = CellBytes::of(&cell);
+        assert_eq!(bytes.cell_json(), serde_json::to_string(&cell).unwrap());
+        assert_eq!(bytes.to_cell().unwrap().trace, Some(Vec::new()));
+        assert_ne!(
+            bytes,
+            CellBytes::of(&ServeCell {
+                trace: None,
+                ..cell
+            })
         );
     }
 

@@ -7,10 +7,18 @@
 //! connections get one `Error` line and are closed — load shedding, not
 //! queueing). Each connection runs a reader thread (parses request
 //! lines, serves cache hits inline, submits misses to the pool) and a
-//! writer thread (serializes all response lines for the connection, so
+//! writer thread (writes all responses of the connection in order, so
 //! pool workers never block on a slow client socket longer than the
 //! channel hand-off). When a client disconnects, its still-queued jobs
 //! are cancelled — work nobody will read is never run.
+//!
+//! The response path does only the work it must. A cell is serialized
+//! once, into [`CellBytes`] pieces, when its run completes; the cache
+//! keeps those pieces, and every response to the cell (cold or hit) is
+//! spliced from them into one buffer holding all its lines. The writer
+//! hands each buffer to the socket whole and flushes once per batch,
+//! and every accepted socket has `TCP_NODELAY` set, so no part of a
+//! response waits for the client's delayed ACK.
 //!
 //! Backpressure is layered: the pool's bounded queue blocks readers
 //! once `queue_cap` jobs are waiting, which stops them draining their
@@ -23,9 +31,7 @@
 //! flush the cache manifest, join every thread.
 
 use crate::cache::{cache_key, CacheStore};
-use crate::proto::{
-    compute_cell, encode, run_response_lines, Request, Response, RunRequest, PROTO_VERSION,
-};
+use crate::proto::{compute_cell, encode, CellBytes, Request, Response, RunRequest, PROTO_VERSION};
 use rmm_fleet::{JobTicket, ServicePool};
 use rmm_mac::ProtocolKind;
 use rmm_stats::{render_registry, MetricsRegistry};
@@ -41,6 +47,9 @@ use std::thread::JoinHandle;
 /// longer line gets one `Error` line and its connection is closed, so a
 /// client that never sends a newline cannot grow server memory past it.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// A connection prunes its settled job tickets once it holds this many.
+const PRUNE_FLOOR: usize = 64;
 
 /// How a [`Server`] is configured; `Default` is a loopback server on an
 /// OS-assigned port with a memory-only cache.
@@ -216,6 +225,10 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, max_conns: usize) {
             break;
         }
         let Ok(stream) = stream else { continue };
+        // The writer hands the socket whole responses; Nagle's algorithm
+        // would hold a response's tail until the client ACKs its head,
+        // which a client with delayed ACKs does only after its timer.
+        let _ = stream.set_nodelay(true);
         let over_cap = {
             let mut open = shared.conns_open.lock().expect("connection count poisoned");
             if *open >= max_conns {
@@ -258,7 +271,11 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
     };
     let (out_tx, out_rx) = mpsc::channel::<String>();
     let writer = std::thread::spawn(move || writer_loop(write_half, out_rx));
+    // Tickets of the jobs this connection may still cancel. Settled
+    // ones are pruned each time the list doubles, so a long-lived
+    // connection holds only its unsettled tickets, amortized O(1) each.
     let mut outstanding: Vec<JobTicket> = Vec::new();
+    let mut prune_at = PRUNE_FLOOR;
     let mut reader = BufReader::new(stream);
     let mut line = Vec::new();
     loop {
@@ -270,7 +287,7 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
         }
         if line.len() > MAX_LINE_BYTES {
             shared.errors.fetch_add(1, Ordering::Relaxed);
-            let _ = out_tx.send(encode(&Response::Error {
+            let _ = out_tx.send(line_of(&Response::Error {
                 id: None,
                 message: format!("request line longer than {MAX_LINE_BYTES} bytes"),
             }));
@@ -288,7 +305,7 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
             // HTTP/1.0 response and close.
             let body = shared.metrics_text();
             let _ = out_tx.send(format!(
-                "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
+                "HTTP/1.0 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}\n",
                 body.len(),
                 body
             ));
@@ -298,7 +315,7 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
             Ok(request) => request,
             Err(e) => {
                 shared.errors.fetch_add(1, Ordering::Relaxed);
-                let _ = out_tx.send(encode(&Response::Error {
+                let _ = out_tx.send(line_of(&Response::Error {
                     id: None,
                     message: format!("unparseable request: {e}"),
                 }));
@@ -307,23 +324,27 @@ fn handle_conn(stream: TcpStream, shared: &Arc<Shared>) {
         };
         match request {
             Request::Ping => {
-                let _ = out_tx.send(encode(&Response::Pong {
+                let _ = out_tx.send(line_of(&Response::Pong {
                     version: PROTO_VERSION,
                 }));
             }
             Request::Metrics => {
-                let _ = out_tx.send(encode(&Response::Metrics {
+                let _ = out_tx.send(line_of(&Response::Metrics {
                     text: shared.metrics_text(),
                 }));
             }
             Request::Shutdown => {
-                let _ = out_tx.send(encode(&Response::Draining));
+                let _ = out_tx.send(line_of(&Response::Draining));
                 shared.begin_drain();
             }
             Request::Run(req) => {
                 shared.requests.fetch_add(1, Ordering::Relaxed);
                 if let Some(ticket) = serve_run(req, shared, &out_tx) {
                     outstanding.push(ticket);
+                    if outstanding.len() >= prune_at {
+                        outstanding.retain(|ticket| !ticket.is_settled());
+                        prune_at = PRUNE_FLOOR.max(2 * outstanding.len());
+                    }
                 }
             }
         }
@@ -350,7 +371,7 @@ fn serve_run(
     let id = req.id;
     let send_error = |message: String| {
         shared.errors.fetch_add(1, Ordering::Relaxed);
-        let _ = out_tx.send(encode(&Response::Error {
+        let _ = out_tx.send(line_of(&Response::Error {
             id: Some(id),
             message,
         }));
@@ -376,10 +397,8 @@ fn serve_run(
         return None;
     }
     let key = cache_key(protocol, &req.scenario, req.seed, req.trace, req.profile);
-    if let Some(cell) = shared.cache.get(&key) {
-        for line in run_response_lines(id, &cell, true) {
-            let _ = out_tx.send(line);
-        }
+    if let Some(bytes) = shared.cache.get_bytes(&key) {
+        let _ = out_tx.send(bytes.render(id, true));
         return None;
     }
     if shared.draining.load(Ordering::SeqCst) {
@@ -390,29 +409,40 @@ fn serve_run(
     let out_tx = out_tx.clone();
     Some(shared.pool.submit(move || {
         let cell = compute_cell(&req.scenario, protocol, req.seed, req.trace, req.profile);
-        job_shared.cache.put(&key, req.seed, &cell);
-        for line in run_response_lines(id, &cell, false) {
-            let _ = out_tx.send(line);
-        }
+        let bytes = Arc::new(CellBytes::of(&cell));
+        job_shared
+            .cache
+            .put_bytes(&key, req.seed, Arc::clone(&bytes));
+        let _ = out_tx.send(bytes.render(id, false));
     }))
 }
 
-/// Serializes every response line of one connection. A dead socket
-/// drains the channel without writing, so producers never block on it.
+/// One response line, newline included, as the writer takes it.
+fn line_of(response: &Response) -> String {
+    let mut line = encode(response);
+    line.push('\n');
+    line
+}
+
+/// Writes every response of one connection. Each message is one or
+/// more whole lines, newlines included (a run's full response is one
+/// message), so a response reaches the socket in as few writes as its
+/// size allows. A dead socket drains the channel without writing, so
+/// producers never block on it.
 fn writer_loop(stream: TcpStream, out_rx: mpsc::Receiver<String>) {
     let mut out = std::io::BufWriter::new(stream);
     let mut broken = false;
-    while let Ok(line) = out_rx.recv() {
+    while let Ok(lines) = out_rx.recv() {
         if broken {
             continue;
         }
-        if writeln!(out, "{line}").is_err() {
+        if out.write_all(lines.as_bytes()).is_err() {
             broken = true;
             continue;
         }
         // Batch whatever is already queued before paying the flush.
-        while let Ok(line) = out_rx.try_recv() {
-            if writeln!(out, "{line}").is_err() {
+        while let Ok(lines) = out_rx.try_recv() {
+            if out.write_all(lines.as_bytes()).is_err() {
                 broken = true;
                 break;
             }

@@ -133,6 +133,63 @@ fn disk_cache_survives_server_restart() {
 }
 
 #[test]
+fn sequential_cached_requests_do_not_wait_for_delayed_acks() {
+    // One request at a time on one connection, as an interactive client
+    // sends them. If the server split a response over writes with
+    // Nagle's algorithm on, each round trip would wait for this
+    // client's delayed-ACK timer (about 40 ms on Linux). At 60 stations
+    // and 2 000 slots a `Result` line is about 11 KB, more than one
+    // buffered write of the server's writer takes.
+    let scenario = Scenario {
+        n_nodes: 60,
+        sim_slots: 2_000,
+        ..tiny()
+    };
+    let (server, addr) = start(ServeConfig::default());
+    let stream = TcpStream::connect(&addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .unwrap();
+    let mut write_half = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut round_trip = move |id: u64| -> Vec<String> {
+        let request = Request::Run(RunRequest {
+            scenario: scenario.clone(),
+            ..run_req(id, "bmmm", 4, false)
+        });
+        let line = format!("{}\n", serde_json::to_string(&request).unwrap());
+        write_half.write_all(line.as_bytes()).unwrap();
+        let mut lines = Vec::new();
+        loop {
+            let mut line = String::new();
+            assert!(reader.read_line(&mut line).unwrap() > 0, "server closed");
+            let done = line.starts_with("{\"Result\"") || line.starts_with("{\"Error\"");
+            lines.push(line);
+            if done {
+                return lines;
+            }
+        }
+    };
+    let cold = round_trip(0);
+    assert!(cold.last().unwrap().contains("\"cached\":false"));
+    let t0 = std::time::Instant::now();
+    for id in 1..=40 {
+        let lines = round_trip(id);
+        assert!(
+            lines.last().unwrap().contains("\"cached\":true"),
+            "{lines:?}"
+        );
+    }
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(1),
+        "40 cached round trips took {elapsed:?}"
+    );
+    drop(round_trip); // owns both halves: closes our connection so the drain can complete
+    drain(server, &addr);
+}
+
+#[test]
 fn bad_lines_and_unknown_protocols_error_without_killing_the_connection() {
     let (server, addr) = start(ServeConfig::default());
     let mut stream = TcpStream::connect(&addr).unwrap();
